@@ -31,26 +31,24 @@ namespace oir::bench {
 namespace {
 
 // One knob configuration for a scenario. The WAL is the bench default
-// (in-memory, synchronous flush) unless file_wal or force_group_commit
-// says otherwise.
+// (in-memory, synchronous flush) unless file_wal or group_commit says
+// otherwise.
 struct Config {
   std::string name;
   size_t shards = 0;        // DbOptions::buffer_pool_shards; 0 = auto
   bool prefetch = true;     // RebuildOptions::prefetch
-  bool file_wal = false;    // back the WAL with a file (real fsyncs)
-  bool group_commit = true; // file WAL: batch commits on the flusher thread
-  bool force_group_commit = false;  // in-memory WAL: force the flusher on
+  bool file_wal = false;    // back the WAL with a file (real fsyncs; file
+                            // logs always group-commit)
+  bool group_commit = false;  // in-memory WAL: force the sealer on
 
   const char* WalLabel() const {
-    if (file_wal) return group_commit ? "file-group" : "file-sync";
-    return force_group_commit ? "mem-group" : "mem-sync";
+    if (file_wal) return "file-group";
+    return group_commit ? "mem-group" : "mem-sync";
   }
 
   // Whether commits ride the grouped ack protocol in this configuration;
   // mean_group_size is only meaningful (and only reported) when they do.
-  bool GroupCommitOn() const {
-    return file_wal ? group_commit : force_group_commit;
-  }
+  bool GroupCommitOn() const { return file_wal || group_commit; }
 };
 
 struct WindowResult {
@@ -74,12 +72,9 @@ WindowResult RunScenario(const Config& cfg, uint64_t n, int oltp_threads,
   DbOptions dopts;
   dopts.buffer_pool_pages = 1 << 15;
   dopts.buffer_pool_shards = cfg.shards;
-  if (cfg.file_wal) {
-    dopts.log_path = kFileWalPath;
-    dopts.wal_group_commit = cfg.group_commit;
-  }
+  if (cfg.file_wal) dopts.log_path = kFileWalPath;
   auto db = OpenDbOpts(dopts);
-  if (cfg.force_group_commit) db->log_manager()->SetGroupCommit(true);
+  if (cfg.group_commit) db->log_manager()->EnableGroupCommit();
   BuildHalfUtilizedIndex(db.get(), n, 12);
 
   std::atomic<bool> stop{false};
@@ -293,8 +288,8 @@ int Main(int argc, char** argv) {
   std::vector<std::pair<Config, WindowResult>> sweep_results;
   if (sweep) {
     // One knob at a time, relative to the default (shards auto, prefetch
-    // on, in-memory WAL with synchronous flush). The file-WAL pair is
-    // compared within itself: real fsyncs, group commit on vs off.
+    // on, in-memory WAL with synchronous flush). The file-WAL row pays
+    // real fsyncs through the group-commit pipeline.
     std::vector<Config> configs;
     for (size_t s : {1u, 2u, 4u}) {
       Config c;
@@ -311,21 +306,13 @@ int Main(int argc, char** argv) {
     {
       Config c;
       c.name = "groupcommit-mem";
-      c.force_group_commit = true;
+      c.group_commit = true;
       configs.push_back(c);
     }
     {
       Config c;
       c.name = "wal-file-group";
       c.file_wal = true;
-      c.group_commit = true;
-      configs.push_back(c);
-    }
-    {
-      Config c;
-      c.name = "wal-file-sync";
-      c.file_wal = true;
-      c.group_commit = false;
       configs.push_back(c);
     }
 

@@ -1,14 +1,13 @@
 // Durable-WAL pipeline matrix: OLTP throughput and commit-ack latency
 // inside the online-rebuild window with a file-backed log, swept over
-// {segment size} x {in-flight segments} x {sync discipline}, plus the
-// legacy one-round-at-a-time flusher as the "before" row. Results land in
-// BENCH_durable_wal.json.
+// {segment size} x {in-flight segments} x {sync discipline}. Results land
+// in BENCH_durable_wal.json.
 //
 // The OLTP mix is read-heavy (default 5% insert+delete write
 // transactions, 95% lookups — the YCSB-B ratio; --write-pct overrides);
 // the commit latency histogram covers only logged commits — the ones
 // that actually wait on the durable path. Per-row diagnostics split the
-// commit tail into the backend's submit→durable device span
+// commit tail into the writer's write+sync device span
 // (wal.segment_io_ns) and the full FlushTo wait (wal.commit_ack_ns), so a
 // device-bound tail is distinguishable from a software one.
 
@@ -31,7 +30,6 @@ constexpr char kWalPath[] = "/tmp/oir_bench_durable_wal.log";
 
 struct WalCfg {
   std::string name;
-  bool pipeline = true;
   uint32_t segment_bytes = 256 * 1024;
   uint32_t inflight = 4;
   WalSyncMode sync = WalSyncMode::kFdatasync;
@@ -43,12 +41,12 @@ struct RowResult {
   double commit_p50_ms = 0;  // logged commits only
   double commit_p99_ms = 0;
   double commit_max_ms = 0;
-  double segment_io_p50_ms = 0;  // backend submit→durable span
+  double segment_io_p50_ms = 0;  // writer write+sync span
   double segment_io_p99_ms = 0;
   double flush_wait_p50_ms = 0;  // FlushTo wait alone (wal.commit_ack_ns)
   double flush_wait_p99_ms = 0;
-  std::string backend;  // effective, after probes
-  std::string sync;
+  std::string backend;
+  std::string sync;  // effective, after the O_DIRECT probe
   CounterSnapshot counters;
 
   double OpsPerSec() const {
@@ -64,8 +62,6 @@ RowResult RunScenario(const WalCfg& cfg, uint64_t n, int oltp_threads,
   DbOptions dopts;
   dopts.buffer_pool_pages = 1 << 15;
   dopts.log_path = kWalPath;
-  dopts.wal_group_commit = true;
-  dopts.wal_pipeline = cfg.pipeline;
   dopts.wal_segment_bytes = cfg.segment_bytes;
   dopts.wal_inflight_segments = cfg.inflight;
   dopts.wal_sync_mode = cfg.sync;
@@ -160,7 +156,7 @@ void WriteJsonRow(std::FILE* f, const WalCfg& cfg, const RowResult& r,
   const CounterSnapshot& d = r.counters;
   std::fprintf(
       f,
-      "    {\"name\": \"%s\", \"pipeline\": %s, \"backend\": \"%s\", "
+      "    {\"name\": \"%s\", \"backend\": \"%s\", "
       "\"sync\": \"%s\", \"segment_bytes\": %u, \"inflight\": %u,\n"
       "     \"window_ms\": %llu, \"ops\": %llu, \"ops_per_sec\": %.0f, "
       "\"commit_p50_ms\": %.3f, \"commit_p99_ms\": %.3f, "
@@ -170,7 +166,7 @@ void WriteJsonRow(std::FILE* f, const WalCfg& cfg, const RowResult& r,
       "     \"commits_acked\": %llu, \"groups_acked\": %llu, "
       "\"mean_group_size\": %.2f, \"log_fsyncs\": %llu, "
       "\"segments_sealed\": %llu}%s\n",
-      cfg.name.c_str(), cfg.pipeline ? "true" : "false", r.backend.c_str(),
+      cfg.name.c_str(), r.backend.c_str(),
       r.sync.c_str(), cfg.segment_bytes, cfg.inflight,
       (unsigned long long)r.window_ms, (unsigned long long)r.ops_in_window,
       r.OpsPerSec(), r.commit_p50_ms, r.commit_p99_ms, r.commit_max_ms,
@@ -200,14 +196,6 @@ int Main(int argc, char** argv) {
   obs::MetricRegistry::SetTimersEnabled(true);
 
   std::vector<WalCfg> matrix;
-  {
-    // "Before": the legacy one-write+fsync-per-round flusher (it always
-    // uses fdatasync; segment/inflight do not apply).
-    WalCfg before;
-    before.name = "before-legacy";
-    before.pipeline = false;
-    matrix.push_back(before);
-  }
   const std::vector<std::pair<const char*, WalSyncMode>> syncs = {
       {"fdatasync", WalSyncMode::kFdatasync},
       {"fsync", WalSyncMode::kFsync},

@@ -40,41 +40,38 @@ namespace {
 
 WalOptions WalOptionsFrom(const DbOptions& options) {
   WalOptions w;
-  w.pipeline = options.wal_pipeline;
   w.segment_bytes = options.wal_segment_bytes;
   w.inflight_segments = options.wal_inflight_segments;
   w.group_window_us = options.wal_group_window_us;
-  w.backend = options.wal_backend;
   w.sync_mode = options.wal_sync_mode;
   return w;
 }
 
-// Constructs the component stack shared by Open and OpenExisting. A
-// non-empty *ephemeral_wal on return means an in-memory WAL was promoted to
-// a throwaway file (OIR_TEST_WAL=file); the caller owns cleanup.
-Status BuildStack(const DbOptions& options, bool truncate_files, Db* db,
-                  std::unique_ptr<Disk>* disk, std::unique_ptr<LogManager>* log,
-                  std::string* ephemeral_wal) {
+}  // namespace
+
+Status Db::BuildStack(bool truncate_files) {
+  const DbOptions& options = options_;
   if (options.use_file_disk) {
     if (truncate_files) std::remove(options.file_path.c_str());
     std::unique_ptr<FileDisk> fd;
     OIR_RETURN_IF_ERROR(
         FileDisk::Open(options.file_path, options.page_size, &fd));
     OIR_RETURN_IF_ERROR(fd->Extend(options.initial_disk_pages));
-    *disk = std::move(fd);
+    disk_ = std::move(fd);
   } else {
-    *disk = std::make_unique<MemDisk>(options.page_size,
+    disk_ = std::make_unique<MemDisk>(options.page_size,
                                       options.initial_disk_pages);
   }
   if (options.wrap_disk) {
-    *disk = options.wrap_disk(std::move(*disk));
-    OIR_CHECK(*disk != nullptr);
+    disk_ = options.wrap_disk(std::move(disk_));
+    OIR_CHECK(disk_ != nullptr);
   }
   std::string log_path = options.log_path;
   if (log_path.empty()) {
     // CI hook: OIR_TEST_WAL=file runs every test that would use an
     // in-memory WAL against a real file-backed one (unique throwaway
-    // path), exercising the async durable path under the whole suite.
+    // path), exercising the async durable path under the whole suite. The
+    // destructor removes the file.
     if (const char* e = std::getenv("OIR_TEST_WAL");
         e != nullptr && std::string(e) == "file") {
       static std::atomic<uint64_t> seq{0};
@@ -82,44 +79,38 @@ Status BuildStack(const DbOptions& options, bool truncate_files, Db* db,
       log_path = std::string(dir != nullptr && *dir ? dir : "/tmp") +
                  "/oir_test_wal_" + std::to_string(::getpid()) + "_" +
                  std::to_string(seq.fetch_add(1)) + ".log";
-      *ephemeral_wal = log_path;
+      ephemeral_wal_path_ = log_path;
       truncate_files = true;
     }
   }
   if (!log_path.empty()) {
-    OIR_RETURN_IF_ERROR(LogManager::Open(log_path, truncate_files, log,
+    OIR_RETURN_IF_ERROR(LogManager::Open(log_path, truncate_files, &log_,
                                          WalOptionsFrom(options)));
-    if (!options.wal_group_commit) (*log)->SetGroupCommit(false);
   } else {
-    *log = std::make_unique<LogManager>(WalOptionsFrom(options));
+    log_ = std::make_unique<LogManager>(WalOptionsFrom(options));
   }
-  (void)db;
+
+  bm_ = std::make_unique<BufferManager>(
+      disk_.get(), options.buffer_pool_pages, options.buffer_pool_shards);
+  bm_->SetLogFlusher(log_.get());
+  bm_->StartWriteBack();
+  locks_ = std::make_unique<LockManager>();
+  space_ = std::make_unique<SpaceManager>(disk_.get(), log_.get(),
+                                          kFirstDataPageId);
+  txn_mgr_ = std::make_unique<TransactionManager>(log_.get(), locks_.get(),
+                                                  bm_.get(), space_.get());
+  tree_ = std::make_unique<BTree>(bm_.get(), log_.get(), locks_.get(),
+                                  space_.get());
+  txn_mgr_->SetUndoHook(tree_.get());
+  index_ = std::make_unique<Index>(tree_.get(), txn_mgr_.get(), bm_.get(),
+                                   log_.get(), locks_.get(), space_.get(),
+                                   &rebuild_journal_);
   return Status::OK();
 }
 
-}  // namespace
-
 Status Db::Open(const DbOptions& options, std::unique_ptr<Db>* out) {
   std::unique_ptr<Db> db(new Db(options));
-  OIR_RETURN_IF_ERROR(
-      BuildStack(options, /*truncate_files=*/true, db.get(), &db->disk_,
-                 &db->log_, &db->ephemeral_wal_path_));
-  db->bm_ = std::make_unique<BufferManager>(db->disk_.get(),
-                                            options.buffer_pool_pages,
-                                            options.buffer_pool_shards);
-  db->bm_->SetLogFlusher(db->log_.get());
-  if (options.async_writeback) db->bm_->StartWriteBack();
-  db->locks_ = std::make_unique<LockManager>();
-  db->space_ = std::make_unique<SpaceManager>(db->disk_.get(), db->log_.get(),
-                                              kFirstDataPageId);
-  db->txn_mgr_ = std::make_unique<TransactionManager>(
-      db->log_.get(), db->locks_.get(), db->bm_.get(), db->space_.get());
-  db->tree_ = std::make_unique<BTree>(db->bm_.get(), db->log_.get(),
-                                      db->locks_.get(), db->space_.get());
-  db->txn_mgr_->SetUndoHook(db->tree_.get());
-  db->index_ = std::make_unique<Index>(
-      db->tree_.get(), db->txn_mgr_.get(), db->bm_.get(), db->log_.get(),
-      db->locks_.get(), db->space_.get(), &db->rebuild_journal_);
+  OIR_RETURN_IF_ERROR(db->BuildStack(/*truncate_files=*/true));
 
   // Bootstrap: create the empty index inside a committed transaction so
   // that recovery can always replay the database from an empty log.
@@ -139,25 +130,7 @@ Status Db::OpenExisting(const DbOptions& options, std::unique_ptr<Db>* out,
         "OpenExisting requires use_file_disk, file_path and log_path");
   }
   std::unique_ptr<Db> db(new Db(options));
-  OIR_RETURN_IF_ERROR(
-      BuildStack(options, /*truncate_files=*/false, db.get(), &db->disk_,
-                 &db->log_, &db->ephemeral_wal_path_));
-  db->bm_ = std::make_unique<BufferManager>(db->disk_.get(),
-                                            options.buffer_pool_pages,
-                                            options.buffer_pool_shards);
-  db->bm_->SetLogFlusher(db->log_.get());
-  if (options.async_writeback) db->bm_->StartWriteBack();
-  db->locks_ = std::make_unique<LockManager>();
-  db->space_ = std::make_unique<SpaceManager>(db->disk_.get(), db->log_.get(),
-                                              kFirstDataPageId);
-  db->txn_mgr_ = std::make_unique<TransactionManager>(
-      db->log_.get(), db->locks_.get(), db->bm_.get(), db->space_.get());
-  db->tree_ = std::make_unique<BTree>(db->bm_.get(), db->log_.get(),
-                                      db->locks_.get(), db->space_.get());
-  db->txn_mgr_->SetUndoHook(db->tree_.get());
-  db->index_ = std::make_unique<Index>(
-      db->tree_.get(), db->txn_mgr_.get(), db->bm_.get(), db->log_.get(),
-      db->locks_.get(), db->space_.get(), &db->rebuild_journal_);
+  OIR_RETURN_IF_ERROR(db->BuildStack(/*truncate_files=*/false));
 
   // Restart recovery over the persisted log and data file.
   RecoveryStats local;
@@ -292,8 +265,8 @@ Status Db::GetStats(StatsReport* out) {
   out->wal_tail_lsn = log_->tail_lsn();
   out->wal_durable_lsn = log_->durable_lsn();
   out->wal_bytes_appended = log_->TotalBytesAppended();
-  out->wal_group_commit = options_.wal_group_commit;
-  out->wal_pipeline = log_->pipeline_enabled();
+  out->wal_group_commit = log_->group_commit();
+  out->wal_pipeline = out->wal_group_commit;
   out->wal_backend = log_->backend_name();
   out->wal_sync_mode = log_->sync_mode_name();
   out->wal_segment_bytes = log_->segment_bytes();

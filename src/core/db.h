@@ -34,9 +34,10 @@ struct StatsReport {
   Lsn wal_tail_lsn = 0;
   Lsn wal_durable_lsn = 0;
   uint64_t wal_bytes_appended = 0;
+  // Both true exactly when commits ride the pipelined group-commit path.
   bool wal_group_commit = false;
   bool wal_pipeline = false;
-  std::string wal_backend;    // effective backend after probes
+  std::string wal_backend;    // "portable" (file log) or "mem"
   std::string wal_sync_mode;  // effective sync discipline
   uint64_t wal_segment_bytes = 0;
   uint64_t wal_inflight_segments = 0;
@@ -143,6 +144,12 @@ class Db {
 
  private:
   explicit Db(const DbOptions& options);
+
+  // Constructs the component stack shared by Open and OpenExisting: disk,
+  // log, buffer pool (with its write-back worker), locks, space, txn
+  // manager, tree and index. truncate_files starts the disk and log files
+  // fresh.
+  Status BuildStack(bool truncate_files);
 
   // Installs recovery's rebuild resume point: records it for
   // ResumeRebuild and re-arms (or clears) the checkpoint journal.

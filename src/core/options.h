@@ -28,19 +28,13 @@ struct DbOptions {
   // global-mutex pool for ablation.
   size_t buffer_pool_shards = 0;
 
-  // WAL group commit: committers enqueue on a dedicated flusher thread and
-  // one batched write+fsync covers every waiter in the group. Applies only
-  // to file-backed logs (an in-memory log has no fsync to batch; see
-  // LogManager::SetGroupCommit to force it there for testing).
-  bool wal_group_commit = true;
-
-  // Pipelined durable log path (file-backed logs): the WAL tail is carved
-  // into segments that a dedicated sealer thread hands to an async backend,
-  // so up to wal_inflight_segments write+sync operations overlap and
-  // committers are acked on completion instead of taking turns behind one
-  // blocking fsync. false restores the legacy one-round-at-a-time flusher
-  // (ablation / "before" benchmarks).
-  bool wal_pipeline = true;
+  // ---- write-ahead log ----
+  // File-backed logs always group-commit through the pipelined durable
+  // path: the WAL tail is carved into segments that a dedicated sealer
+  // thread hands to an async pwrite+fdatasync writer, so up to
+  // wal_inflight_segments write+sync operations overlap and committers are
+  // acked on completion. An in-memory log flushes synchronously (see
+  // LogManager::EnableGroupCommit to force the pipeline there for testing).
 
   // Maximum bytes per sealed log segment. Smaller segments reduce
   // commit-ack latency; larger ones amortize the per-sync cost.
@@ -54,18 +48,10 @@ struct DbOptions {
   // concurrent commits share one device round. 0 seals immediately.
   uint32_t wal_group_window_us = 100;
 
-  // Async log I/O backend and sync discipline (see storage/async_io.h).
-  // Both are runtime-probed with fallbacks: uring→portable worker pool,
-  // O_DIRECT→buffered fdatasync. Overridable via OIR_WAL_BACKEND /
-  // OIR_WAL_SYNC environment variables.
-  WalBackend wal_backend = WalBackend::kAuto;
+  // Log sync discipline (see storage/async_io.h). O_DIRECT is probed at
+  // open and falls back to buffered fdatasync where the filesystem refuses
+  // it. Overridable via the OIR_WAL_SYNC environment variable.
   WalSyncMode wal_sync_mode = WalSyncMode::kFdatasync;
-
-  // Background write-back worker: evictions prefer clean frames and hand
-  // dirty ones to a dedicated cleaner, and checkpoints route their dirty
-  // set through it, so foreground traffic never stalls on a data-page
-  // flush. false restores fully inline write-back.
-  bool async_writeback = true;
 
   // Back the database with a POSIX file instead of memory.
   bool use_file_disk = false;

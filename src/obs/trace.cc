@@ -33,7 +33,6 @@ const char* TraceEventName(TraceEventType t) {
     case TraceEventType::kLockWaitBegin: return "lock_wait_begin";
     case TraceEventType::kLockWaitEnd: return "lock_wait_end";
     case TraceEventType::kLockWatchdog: return "lock_watchdog";
-    case TraceEventType::kGroupCommitFlush: return "group_commit_flush";
     case TraceEventType::kCheckpoint: return "checkpoint";
     case TraceEventType::kCopyPhaseBegin: return "copy_phase_begin";
     case TraceEventType::kCopyPhaseEnd: return "copy_phase_end";

@@ -32,7 +32,6 @@ enum class TraceEventType : uint8_t {
   kLockWaitBegin,       // arg0 = lock key id,        arg1 = requester txn
   kLockWaitEnd,         // arg0 = lock key id,        arg1 = requester txn
   kLockWatchdog,        // arg0 = lock key id,        arg1 = holder txn
-  kGroupCommitFlush,    // arg0 = durable lsn,        arg1 = bytes this round
   kCheckpoint,          // arg0 = checkpoint lsn,     arg1 = 0
   kCopyPhaseBegin,      // arg0 = top-action ordinal, arg1 = 0
   kCopyPhaseEnd,        // arg0 = top-action ordinal, arg1 = keys copied

@@ -1,30 +1,18 @@
 #ifndef OIR_STORAGE_ASYNC_IO_H_
 #define OIR_STORAGE_ASYNC_IO_H_
 
-// Asynchronous durable-append backends for the WAL's pipelined segment
-// writer (log_manager.h). A backend owns its own file descriptor on the log
+// Asynchronous durable appends for the WAL's pipelined segment writer
+// (log_manager.h). AsyncLogWriter owns its own file descriptor on the log
 // file and turns each Submit() into "write these bytes at this offset, then
 // force them to stable storage", reporting completion through a callback.
-// Two implementations:
+// A small pool of worker threads runs each request as a pwrite loop +
+// fdatasync/fsync; N workers give N genuinely concurrent force operations,
+// so consecutive log segments overlap their syncs.
 //
-//   PwriteLogWriter  portable POSIX path: a small pool of worker threads,
-//                    each request is a pwrite loop + fdatasync/fsync. N
-//                    workers give N genuinely concurrent force operations,
-//                    so consecutive log segments overlap their syncs.
+// O_DIRECT may be refused by the filesystem (tmpfs); Open() then falls back
+// to buffered fdatasync, and sync_mode() reports what it actually got.
 //
-//   UringLogWriter   io_uring via raw syscalls (no liburing dependency):
-//                    each request is a linked SQE pair, IORING_OP_WRITE →
-//                    IORING_OP_FSYNC, reaped by one completion thread. The
-//                    kernel orders the fsync after the write through the
-//                    link, so a request is complete exactly when its bytes
-//                    are stable.
-//
-// Create() probes at runtime: io_uring_setup may be unavailable (old
-// kernel, seccomp) and O_DIRECT may be refused by the filesystem; both fall
-// back — uring→portable, O_DIRECT→buffered fdatasync — so the caller always
-// gets a working writer and can query what it actually got.
-//
-// Contract shared by all implementations (log_manager.cc relies on it):
+// Contract (log_manager.cc relies on it):
 //   * Submit() never performs I/O on the calling thread and never blocks on
 //     the device; it is safe to call with caller locks held.
 //   * The completion callback is invoked with NO internal locks held, so it
@@ -32,21 +20,18 @@
 //   * Completions may arrive in any order; the caller sequences them.
 //   * Drain() returns once every submitted request has completed.
 
+#include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include "sync/mutex.h"
 #include "util/status.h"
 
 namespace oir {
-
-// Which async backend to use for the durable log path.
-enum class WalBackend : uint8_t {
-  kAuto = 0,   // io_uring when the kernel offers it, else portable
-  kPortable,   // pwrite + fdatasync worker pool
-  kUring,      // io_uring (falls back to portable when unavailable)
-};
 
 // How a log segment is forced to stable storage.
 enum class WalSyncMode : uint8_t {
@@ -55,13 +40,11 @@ enum class WalSyncMode : uint8_t {
   kODirect,        // O_DIRECT sector-aligned write + fdatasync
 };
 
-const char* WalBackendName(WalBackend b);
 const char* WalSyncModeName(WalSyncMode m);
-bool ParseWalBackend(const std::string& s, WalBackend* out);
 bool ParseWalSyncMode(const std::string& s, WalSyncMode* out);
 
 // Best-effort scheduling boost for the durable-path threads (the WAL
-// sealer and the backend's I/O workers). They run short bursts between
+// sealer and the writer's I/O workers). They run short bursts between
 // blocking waits, but commit-ack latency rides on how fast they get the
 // CPU back once woken — on a loaded box, queueing behind a runnable OLTP
 // thread costs milliseconds. Tries SCHED_FIFO (needs privilege), then a
@@ -98,39 +81,59 @@ constexpr uint32_t kWalSectorSize = 512;
 
 class AsyncLogWriter {
  public:
-  // Invoked once per Submit(), on a backend thread, with no internal locks
+  // Invoked once per Submit(), on a worker thread, with no internal locks
   // held. `seq` is the caller's token; `s` is OK iff the bytes are stable.
   using CompletionFn = std::function<void(uint64_t seq, Status s)>;
 
-  virtual ~AsyncLogWriter() = default;
+  // `inflight` is the maximum number of requests the caller keeps
+  // outstanding (>= 1); it sizes the worker pool.
+  AsyncLogWriter(WalSyncMode mode, uint32_t inflight, CompletionFn cb);
+  ~AsyncLogWriter();
 
   AsyncLogWriter(const AsyncLogWriter&) = delete;
   AsyncLogWriter& operator=(const AsyncLogWriter&) = delete;
 
+  // Opens the writer's own descriptor on `path` (degrading O_DIRECT as
+  // described above) and starts the workers. Call once, before Submit().
+  Status Open(const std::string& path);
+
   // Queues a durable append of `data` at file offset `offset`. For the
   // O_DIRECT mode the caller must pass a sector-aligned offset and a
-  // sector-multiple length (log_manager materializes the padding). The
-  // caller bounds the number of outstanding requests; backends size their
-  // queues for `inflight` and are not required to accept more.
-  virtual void Submit(uint64_t seq, uint64_t offset, std::string data) = 0;
+  // sector-multiple length (log_manager materializes the padding); the
+  // worker copies the bytes into a sector-aligned buffer.
+  void Submit(uint64_t seq, uint64_t offset, std::string data);
 
   // Blocks until every request submitted so far has completed (its
   // callback has returned). New submissions during a drain extend it.
-  virtual void Drain() = 0;
+  void Drain();
 
-  // What the probe actually selected (for stats and bench labels).
-  virtual const char* backend_name() const = 0;
-  virtual WalSyncMode sync_mode() const = 0;
+  // Effective force discipline after Open's O_DIRECT probe.
+  WalSyncMode sync_mode() const { return mode_; }
 
-  // Opens its own descriptor on `path` and builds the requested backend,
-  // falling back as described above. `inflight` is the maximum number of
-  // requests the caller keeps outstanding (>= 1).
-  static Status Create(const std::string& path, WalBackend backend,
-                       WalSyncMode mode, uint32_t inflight, CompletionFn cb,
-                       std::unique_ptr<AsyncLogWriter>* out);
+ private:
+  struct Request {
+    uint64_t seq;
+    uint64_t offset;
+    std::string data;
+  };
 
- protected:
-  AsyncLogWriter() = default;
+  void WorkerLoop();
+  // pwrite loop + sync for one request, on a worker thread.
+  Status WriteDurable(const Request& req);
+
+  int fd_ = -1;
+  WalSyncMode mode_;  // fixed once Open returns
+  const uint32_t workers_wanted_;
+  const CompletionFn cb_;
+  std::atomic<uint64_t> allocated_{0};  // prealloc watermark (file offset)
+
+  Mutex mu_;
+  CondVar cv_;
+  std::deque<Request> queue_ OIR_GUARDED_BY(mu_);
+  // Requests submitted but whose callback has not returned yet.
+  uint64_t outstanding_ OIR_GUARDED_BY(mu_) = 0;
+  bool stop_ OIR_GUARDED_BY(mu_) = false;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace oir

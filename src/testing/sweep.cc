@@ -52,7 +52,7 @@ struct WorkloadRun {
   RebuildResult rebuild_result;
 };
 
-Status OpenDb(const SweepWorkloadOptions& opts, WorkloadRun* run) {
+Status OpenDb(WorkloadRun* run) {
   DbOptions dopts;
   dopts.page_size = 2048;
   // Generous pool: the whole working set stays cached, so no eviction
@@ -67,7 +67,9 @@ Status OpenDb(const SweepWorkloadOptions& opts, WorkloadRun* run) {
     return wrapped;
   };
   OIR_RETURN_IF_ERROR(Db::Open(dopts, &run->db));
-  run->db->log_manager()->SetGroupCommit(opts.group_commit);
+  // Force the WAL group-commit protocol even on the in-memory log, so the
+  // wal.pipeline.* points participate in the sweep.
+  run->db->log_manager()->EnableGroupCommit();
   // Post-cut a thread can strand logical locks (its transaction is
   // abandoned, never rolled back until recovery); a short wait timeout
   // turns any thread blocked behind one into a prompt Aborted instead of
@@ -333,7 +335,7 @@ Status EnumerateCrashPoints(
     const SweepWorkloadOptions& opts,
     std::vector<std::pair<std::string, uint64_t>>* points) {
   WorkloadRun run;
-  OIR_RETURN_IF_ERROR(OpenDb(opts, &run));
+  OIR_RETURN_IF_ERROR(OpenDb(&run));
   auto& reg = CrashPointRegistry::Get();
   reg.Disarm();
   reg.ResetCounts();
@@ -349,7 +351,7 @@ Status RunCrashIteration(const SweepWorkloadOptions& opts,
                          CrashIterationResult* result) {
   *result = CrashIterationResult();
   WorkloadRun run;
-  OIR_RETURN_IF_ERROR(OpenDb(opts, &run));
+  OIR_RETURN_IF_ERROR(OpenDb(&run));
 
   LogManager* log = run.db->log_manager();
   FaultInjectingDisk* fdisk = run.fdisk;

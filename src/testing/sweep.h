@@ -43,10 +43,6 @@ struct SweepWorkloadOptions {
   uint32_t rebuild_ntasize = 4;
   uint32_t rebuild_xactsize = 8;
 
-  // Force the WAL group-commit protocol even on the in-memory log, so the
-  // wal.flusher.* points participate in the sweep.
-  bool group_commit = true;
-
   // Take one fuzzy checkpoint midway through the writer's run (covers the
   // ckpt.* points and recovery-from-checkpoint).
   bool checkpoint_midway = true;

@@ -43,11 +43,11 @@ LogManager::LogManager(const WalOptions& wal)
 LogManager::~LogManager() {
   {
     MutexLock l(mu_);
-    stop_flusher_ = true;
+    stop_sealer_ = true;
   }
   flush_cv_.NotifyAll();
   flushed_cv_.NotifyAll();
-  if (flusher_.joinable()) flusher_.join();
+  if (sealer_.joinable()) sealer_.join();
   // Let any submitted-but-incomplete segment finish before closing the fd;
   // completions still run OnSegmentComplete, which is safe (the object is
   // alive and the sealer is gone).
@@ -58,19 +58,14 @@ LogManager::~LogManager() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void LogManager::SetGroupCommit(bool on) {
+void LogManager::EnableGroupCommit() {
   MutexLock l(mu_);
-  group_commit_ = on;
-  // The flusher thread is started lazily on first enable (and kept across
-  // toggles) so a purely synchronous log never spawns one — and so Open's
-  // single-threaded recovery path runs before any concurrent access.
-  if (on && !flusher_.joinable()) {
-    if (wal_opts_.pipeline) {
-      flusher_ = std::thread([this] { PipelineLoop(); });
-    } else {
-      flusher_ = std::thread([this] { FlusherLoop(); });
-    }
-  }
+  // The sealer is started on first enable so a purely synchronous log never
+  // spawns one — and so Open's single-threaded recovery path runs before
+  // any concurrent access.
+  if (group_commit_) return;
+  group_commit_ = true;
+  sealer_ = std::thread([this] { PipelineLoop(); });
 }
 
 bool LogManager::group_commit() const {
@@ -79,8 +74,7 @@ bool LogManager::group_commit() const {
 }
 
 const char* LogManager::backend_name() const {
-  if (writer_) return writer_->backend_name();
-  return fd_ >= 0 ? "sync" : "mem";
+  return writer_ ? "portable" : "mem";
 }
 
 const char* LogManager::sync_mode_name() const {
@@ -95,11 +89,8 @@ Status LogManager::Open(const std::string& path, bool truncate,
                         std::unique_ptr<LogManager>* out,
                         const WalOptions& wal) {
   WalOptions opts = SanitizeWalOptions(wal);
-  // Environment overrides so CI can force the portable fallback (and devs
-  // can A/B backends) without a rebuild.
-  if (const char* e = std::getenv("OIR_WAL_BACKEND"); e != nullptr && *e) {
-    ParseWalBackend(e, &opts.backend);
-  }
+  // Environment override so CI and developers can A/B force disciplines
+  // without a rebuild.
   if (const char* e = std::getenv("OIR_WAL_SYNC"); e != nullptr && *e) {
     ParseWalSyncMode(e, &opts.sync_mode);
   }
@@ -129,7 +120,7 @@ Status LogManager::Open(const std::string& path, bool truncate,
     if (r < 0 || static_cast<size_t>(r) != body.size()) {
       return Status::IOError("log body read failed");
     }
-    // Open is single-threaded (no flusher yet), but the guarded fields are
+    // Open is single-threaded (no sealer yet), but the guarded fields are
     // still touched under mu_ in bounded scopes: ReadRecord below takes the
     // (non-recursive) mutex itself.
     const Lsn trim_base = trim <= kHeaderSize ? 0 : trim;
@@ -161,7 +152,6 @@ Status LogManager::Open(const std::string& path, bool truncate,
       log->buf_.resize(valid_end - trim_base);
       log->durable_lsn_ = valid_end;
       log->submitted_lsn_ = valid_end;
-      log->file_synced_ = valid_end;
       // Drop the torn bytes from the file too: a later partial overwrite
       // must not splice them into a seemingly valid chain, and O_DIRECT
       // segment padding assumes nothing live beyond the logical tail.
@@ -184,8 +174,6 @@ Status LogManager::Open(const std::string& path, bool truncate,
     }
     MutexLock l(log->mu_);
     log->file_header_ = header;
-    log->file_synced_ = kHeaderSize;
-    OIR_RETURN_IF_ERROR(log->PersistLocked());
   }
 
   // Master checkpoint sidecar.
@@ -206,59 +194,21 @@ Status LogManager::Open(const std::string& path, bool truncate,
   if (mfd >= 0) ::close(mfd);
   if (truncate) ::unlink(mpath.c_str());
 
-  // Async backend for the pipelined durable path. Create() probes io_uring
-  // and O_DIRECT and falls back internally; if even the portable writer
-  // cannot open the file, fall back to the legacy blocking flusher.
-  if (log->wal_opts_.pipeline) {
-    LogManager* raw = log.get();
-    std::unique_ptr<AsyncLogWriter> w;
-    Status ws = AsyncLogWriter::Create(
-        path, opts.backend, opts.sync_mode, opts.inflight_segments,
-        [raw](uint64_t seq, Status s) {
-          raw->OnSegmentComplete(seq, std::move(s));
-        },
-        &w);
-    if (ws.ok()) {
-      log->writer_ = std::move(w);
-    } else {
-      log->wal_opts_.pipeline = false;
-    }
-  }
+  // Async writer for the pipelined durable path (it probes O_DIRECT and
+  // falls back to buffered fdatasync internally).
+  LogManager* raw = log.get();
+  log->writer_ = std::make_unique<AsyncLogWriter>(
+      opts.sync_mode, opts.inflight_segments,
+      [raw](uint64_t seq, Status s) {
+        raw->OnSegmentComplete(seq, std::move(s));
+      });
+  OIR_RETURN_IF_ERROR(log->writer_->Open(path));
 
-  // File-backed logs default to group commit: there is a real fsync whose
-  // cost is worth amortizing across concurrent committers.
-  log->SetGroupCommit(true);
+  // File-backed logs always group-commit: there is a real fsync whose cost
+  // is worth amortizing across concurrent committers.
+  log->EnableGroupCommit();
 
   *out = std::move(log);
-  return Status::OK();
-}
-
-Status LogManager::PersistLocked() {
-  if (fd_ < 0) return Status::OK();
-  // Append everything durable that is not yet in the file.
-  Lsn tail = trim_base_ + buf_.size();
-  if (file_synced_ < trim_base_) file_synced_ = trim_base_;
-  if (file_synced_ < tail) {
-    const char* src = buf_.data() + (file_synced_ - trim_base_);
-    size_t len = tail - file_synced_;
-    off_t off = 24 + (file_synced_ - trim_base_);
-    size_t done = 0;
-    while (done < len) {
-      ssize_t w = ::pwrite(fd_, src + done, len - done, off + done);
-      if (w < 0) {
-        if (errno == EINTR) continue;
-        return Status::IOError(std::string("log pwrite: ") +
-                               std::strerror(errno));
-      }
-      done += static_cast<size_t>(w);
-    }
-    if (::fdatasync(fd_) != 0) {
-      return Status::IOError(std::string("log fdatasync: ") +
-                             std::strerror(errno));
-    }
-    GlobalCounters::Get().log_fsyncs.fetch_add(1, std::memory_order_relaxed);
-    file_synced_ = tail;
-  }
   return Status::OK();
 }
 
@@ -300,7 +250,7 @@ Lsn LogManager::AppendEncoded(LogRecord* rec, const std::string& payload) {
   // the (real-time) sealer and completion threads behind a starved CFS
   // thread — a priority inversion whose cost is a whole scheduling epoch.
   std::optional<ScopedCommitPriorityBoost> boost;
-  if (wal_opts_.pipeline && writer_ != nullptr) boost.emplace();
+  if (writer_ != nullptr) boost.emplace();
   MutexLock l(mu_);
   const Lsn lsn = trim_base_ + buf_.size();
   rec->lsn = lsn;
@@ -369,22 +319,19 @@ Status LogManager::FlushToLocked(Lsn lsn) {
     return Status::IOError("fault injection: log flush failed");
   }
   if (!group_commit_) {
-    // Synchronous path: flush inline on the calling thread.
+    // Synchronous in-memory path: durability is simulated, so the boundary
+    // moves inline on the calling thread.
     OIR_CRASH_POINT("wal.flush.sync");
     durable_lsn_ = trim_base_ + buf_.size();
     ++durable_adv_seq_;
     if (master_ckpt_ != kInvalidLsn && master_ckpt_ < durable_lsn_) {
       durable_master_ckpt_ = master_ckpt_;
     }
-    // The inline write+fsync is this thread waiting for durability, the
-    // same as the group-commit CV wait below.
-    obs::WaitScope ws(obs::WaitState::kWalCommitWait);
-    return PersistLocked();
+    return Status::OK();
   }
-  // Group commit: publish the target, wake the flusher/sealer, and wait
-  // until the durability boundary covers our record. Under the pipeline the
-  // wake-up comes from a segment *completion* (the sealer never blocks on
-  // the device); under the legacy flusher, from the end of a flush round.
+  // Group commit: publish the target, wake the sealer, and wait until the
+  // durability boundary covers our record. The wake-up comes from a segment
+  // *completion* (the sealer never blocks on the device).
   for (;;) {
     if (lsn < durable_lsn_) {
       AckLocked();
@@ -399,11 +346,8 @@ Status LogManager::FlushToLocked(Lsn lsn) {
       // Wake the sealer only on an idle→demand transition: while demand
       // is already pending the sealer is either working or deliberately
       // holding the micro-batch window open, and a preempting notify per
-      // commit costs two context switches that buy nothing. The legacy
-      // flusher's "covered" boundary is durable_lsn_ (it has no submit
-      // stage).
-      const Lsn covered = wal_opts_.pipeline ? submitted_lsn_ : durable_lsn_;
-      const bool had_demand = requested_lsn_ > covered;
+      // commit costs two context switches that buy nothing.
+      const bool had_demand = requested_lsn_ > submitted_lsn_;
       requested_lsn_ = target;
       if (!had_demand) flush_cv_.NotifyOne();
     }
@@ -411,7 +355,7 @@ Status LogManager::FlushToLocked(Lsn lsn) {
     {
       obs::WaitScope ws(obs::WaitState::kWalCommitWait);
       while (
-          !(lsn < durable_lsn_ || flush_err_seq_ != my_err || stop_flusher_)) {
+          !(lsn < durable_lsn_ || flush_err_seq_ != my_err || stop_sealer_)) {
         flushed_cv_.Wait(mu_);
       }
     }
@@ -420,80 +364,29 @@ Status LogManager::FlushToLocked(Lsn lsn) {
       return Status::OK();
     }
     if (flush_err_seq_ != my_err) return last_flush_error_;
-    if (stop_flusher_) return Status::IOError("log manager shutting down");
+    if (stop_sealer_) return Status::IOError("log manager shutting down");
   }
 }
 
 Status LogManager::FlushTo(Lsn lsn) {
-  // Pipelined file log: boost this thread for the duration of the wait so
-  // the durable-completion wake-up preempts runnable OLTP threads instead
-  // of queueing behind them (wal_opts_ and writer_ are fixed after Open, so
-  // reading them unlocked here is safe).
+  // File log: boost this thread for the duration of the wait so the
+  // durable-completion wake-up preempts runnable OLTP threads instead of
+  // queueing behind them (writer_ is fixed after Open, so reading it
+  // unlocked here is safe).
   std::optional<ScopedCommitPriorityBoost> boost;
-  if (wal_opts_.pipeline && writer_ != nullptr) boost.emplace();
+  if (writer_ != nullptr) boost.emplace();
   MutexLock lk(mu_);
   return FlushToLocked(lsn);
 }
 
 Status LogManager::FlushAll() {
   std::optional<ScopedCommitPriorityBoost> boost;
-  if (wal_opts_.pipeline && writer_ != nullptr) boost.emplace();
+  if (writer_ != nullptr) boost.emplace();
   MutexLock lk(mu_);
   const Lsn tail = trim_base_ + buf_.size();
   if (tail <= kHeaderSize) return Status::OK();
   // The record at tail-1 durable <=> durable_lsn_ >= tail.
   return FlushToLocked(tail - 1);
-}
-
-void LogManager::FlusherLoop() {
-  TryElevateLogThreadPriority();
-  MutexLock lk(mu_);
-  while (!stop_flusher_) {
-    if (requested_lsn_ <= durable_lsn_) {
-      flush_cv_.Wait(mu_);  // wait-state: flusher idle, no demand
-      continue;
-    }
-    // One batched flush round covering every record appended so far: all
-    // current waiters ride on this single write+fsync.
-    const Lsn target = trim_base_ + buf_.size();
-    const Lsn prev_durable = durable_lsn_;
-    static obs::TimerStat* const flush_timer =
-        obs::MetricRegistry::Get().Timer("wal.flush_ns");
-    OIR_CRASH_POINT("wal.flusher.round");
-    Status s;
-    if (fail_flushes_.load(std::memory_order_relaxed)) {
-      // Fault injection: the round fails before anything reaches the
-      // device; durable_lsn_ must not move.
-      s = Status::IOError("fault injection: log flush failed");
-    } else {
-      obs::ScopedTimer scope(flush_timer);
-      s = PersistLocked();
-    }
-    if (s.ok() && fd_ < 0) {
-      // In-memory log: no physical sync, but count the round so the
-      // flush-calls-per-fsync group-size metric stays meaningful.
-      GlobalCounters::Get().log_fsyncs.fetch_add(1,
-                                                 std::memory_order_relaxed);
-    }
-    if (s.ok()) {
-      durable_lsn_ = target;
-      ++durable_adv_seq_;
-      OIR_CRASH_POINT("wal.flusher.durable");
-      OIR_TRACE(obs::TraceEventType::kGroupCommitFlush, target,
-                target - prev_durable);
-      if (master_ckpt_ != kInvalidLsn && master_ckpt_ < durable_lsn_) {
-        durable_master_ckpt_ = master_ckpt_;
-      }
-    } else {
-      last_flush_error_ = s;
-      ++flush_err_seq_;
-      // Drop the pending request so a persistent I/O error doesn't spin the
-      // flusher; the next FlushTo re-raises it (and retries the write).
-      requested_lsn_ = durable_lsn_;
-    }
-    flushed_cv_.NotifyAll();
-  }
-  flushed_cv_.NotifyAll();
 }
 
 void LogManager::BuildSegmentLocked(Lsn begin, Lsn end, uint64_t* offset,
@@ -555,7 +448,6 @@ void LogManager::CompleteSegmentsLocked() {
     const bool power_cut = fail_flushes_.load(std::memory_order_relaxed);
     if (seg.status.ok() && !power_cut) {
       durable_lsn_ = seg.end;
-      if (file_synced_ < seg.end) file_synced_ = seg.end;
       ++durable_adv_seq_;
       c.log_fsyncs.fetch_add(1, std::memory_order_relaxed);
       c.wal_segments_completed.fetch_add(1, std::memory_order_relaxed);
@@ -608,7 +500,7 @@ void LogManager::PipelineLoop() {
   TryElevateLogThreadPriority();
   MutexLock lk(mu_);
   auto& c = GlobalCounters::Get();
-  while (!stop_flusher_) {
+  while (!stop_sealer_) {
     CompleteSegmentsLocked();
     if (quiescing_) {
       flush_cv_.Wait(mu_);  // wait-state: sealer parked while quiescing
@@ -627,7 +519,7 @@ void LogManager::PipelineLoop() {
         // request would change SimulateCrash semantics.)
         // wait-state: sealer batching window, not an operation wait
         flush_cv_.WaitFor(mu_, std::chrono::milliseconds(5));
-        if (stop_flusher_ || quiescing_) continue;
+        if (stop_sealer_ || quiescing_) continue;
         if (requested_lsn_ > submitted_lsn_ ||
             trim_base_ + buf_.size() != tail) {
           continue;  // demand or growth arrived; re-evaluate from the top
@@ -653,7 +545,7 @@ void LogManager::PipelineLoop() {
       const auto deadline =
           std::chrono::steady_clock::now() +
           std::chrono::microseconds(wal_opts_.group_window_us);
-      while (!stop_flusher_ && !quiescing_ &&
+      while (!stop_sealer_ && !quiescing_ &&
              !fail_flushes_.load(std::memory_order_relaxed) &&
              trim_base_ + buf_.size() - submitted_lsn_ <
                  wal_opts_.segment_bytes) {
@@ -662,7 +554,7 @@ void LogManager::PipelineLoop() {
           break;
         }
       }
-      if (stop_flusher_ || quiescing_) continue;
+      if (stop_sealer_ || quiescing_) continue;
     }
     OIR_CRASH_POINT("wal.pipeline.seal");
     if (fail_flushes_.load(std::memory_order_relaxed)) {
@@ -735,9 +627,9 @@ void LogManager::QuiescePipeline() {
   {
     MutexLock l(mu_);
     quiescing_ = true;
-    if (!wal_opts_.pipeline || !flusher_.joinable()) {
-      // No sealer running (legacy flusher or a log that never enabled
-      // group commit): nothing can be in flight.
+    if (!group_commit_) {
+      // No sealer running (an in-memory log that never enabled group
+      // commit): nothing can be in flight.
       return;
     }
   }
@@ -800,7 +692,6 @@ void LogManager::DiscardPrefix(Lsn lsn) {
                   static_cast<ssize_t>(buf_.size()));
         OIR_CHECK(::ftruncate(fd_, 24 + buf_.size()) == 0);
         OIR_CHECK(::fdatasync(fd_) == 0);
-        file_synced_ = trim_base_ + buf_.size();
         file_header_ = header;
       }
       if (submitted_lsn_ < trim_base_) submitted_lsn_ = trim_base_;
@@ -897,7 +788,6 @@ void LogManager::SimulateCrash() {
       OIR_CHECK(::ftruncate(fd_, len) == 0);
       OIR_CHECK(::fdatasync(fd_) == 0);
     }
-    if (file_synced_ > durable_lsn_) file_synced_ = durable_lsn_;
     quiescing_ = false;
   }
   flush_cv_.NotifyAll();

@@ -11,26 +11,20 @@
 // truncated frame marks the end of the recoverable log (torn tail).
 //
 // Durable path (group commit): FlushTo() callers enqueue their target LSN
-// and block on a condition variable; a dedicated thread makes the log
-// durable and wakes them. Two implementations share that protocol:
+// and block on a condition variable; the pipelined segment writer makes
+// the log durable and wakes them. The in-memory log tail is carved into
+// bounded segments. The sealer thread copies [submitted_lsn, end) out of
+// the buffer under the mutex (no I/O inside the critical section), hands
+// the segment to an AsyncLogWriter (a pwrite+fdatasync worker pool,
+// async_io.h), and keeps sealing: up to `inflight_segments` segments
+// overlap their writes and syncs. durable_lsn advances only when the
+// *front* of the inflight queue completes, so it is always a contiguous
+// stable prefix; waiters are woken on completion, not on submission.
 //
-//   * Pipelined segment writer (default, WalOptions::pipeline) — the
-//     in-memory log tail is carved into bounded segments. The sealer
-//     thread copies [submitted_lsn, end) out of the buffer under the mutex
-//     (no I/O inside the critical section), hands the segment to an
-//     AsyncLogWriter (io_uring or a pwrite+fdatasync pool, async_io.h),
-//     and keeps sealing: up to `inflight_segments` segments overlap their
-//     writes and syncs. durable_lsn advances only when the *front* of the
-//     inflight queue completes, so it is always a contiguous stable
-//     prefix; waiters are woken on completion, not on submission.
-//   * Legacy blocking flusher (pipeline=false, kept for before/after
-//     benchmarking) — one batched write+fsync per round, performed while
-//     holding the log mutex.
-//
-// File-backed logs enable group commit by default; SetGroupCommit()
-// toggles it (and can force it for an in-memory log, where the pipeline
-// completes segments without physical I/O, to exercise the protocol — and
-// its crash points — in tests).
+// File-backed logs always group-commit. An in-memory log flushes
+// synchronously unless EnableGroupCommit() forces the pipeline on, where it
+// completes segments without physical I/O — exercising the protocol, and
+// its crash points, in tests.
 
 #include <atomic>
 #include <deque>
@@ -61,15 +55,11 @@ struct TxnContext {
 
 // Durable-path tuning. Fixed at construction/Open.
 struct WalOptions {
-  // Use the pipelined segment writer for group commit; false restores the
-  // legacy one-round-at-a-time blocking flusher (ablation/"before" bench).
-  bool pipeline = true;
-
   // Maximum bytes per sealed segment. Smaller segments cut commit-ack
   // latency; larger ones amortize the per-sync cost.
   uint32_t segment_bytes = 256 * 1024;
 
-  // Maximum sealed-but-not-yet-durable segments in flight at the backend.
+  // Maximum sealed-but-not-yet-durable segments in flight at the writer.
   uint32_t inflight_segments = 4;
 
   // Group-commit micro-batch window in microseconds (file-backed logs):
@@ -79,8 +69,7 @@ struct WalOptions {
   // latency. 0 seals immediately on demand.
   uint32_t group_window_us = 100;
 
-  // I/O backend and force discipline for file-backed logs (async_io.h).
-  WalBackend backend = WalBackend::kAuto;
+  // Force discipline for file-backed logs (async_io.h).
   WalSyncMode sync_mode = WalSyncMode::kFdatasync;
 };
 
@@ -96,8 +85,7 @@ class LogManager : public LogFlusher {
   // File-backed log: records become durable in `path` when flushed, and a
   // sidecar `path.master` holds the master checkpoint pointer. Open reads
   // any existing content (surviving a real process restart); pass
-  // truncate=true to start fresh. OIR_WAL_BACKEND / OIR_WAL_SYNC override
-  // wal.backend / wal.sync_mode (CI forces the portable fallback this way).
+  // truncate=true to start fresh. OIR_WAL_SYNC overrides wal.sync_mode.
   static Status Open(const std::string& path, bool truncate,
                      std::unique_ptr<LogManager>* out,
                      const WalOptions& wal = WalOptions());
@@ -110,20 +98,18 @@ class LogManager : public LogFlusher {
   Lsn AppendSystem(LogRecord* rec);
 
   // Durability. FlushTo returns once the record at `lsn` is durable; under
-  // group commit the calling thread rides on a segment completion (or, in
-  // legacy mode, on a flush another committer triggered).
+  // group commit the calling thread rides on a segment completion.
   Status FlushTo(Lsn lsn) override;
   Status FlushAll();
   Lsn durable_lsn() const;
 
-  // Toggles group commit. On by default for file-backed logs (Open); off
-  // for in-memory logs, where a flush is cheap enough to do synchronously —
-  // pass true to force the grouped protocol there (tests, benchmarks).
-  void SetGroupCommit(bool on);
+  // Turns group commit on; it stays on for the life of the log. Open does
+  // this for file-backed logs. In-memory logs flush synchronously until a
+  // caller forces the grouped protocol (tests, benchmarks).
+  void EnableGroupCommit();
   bool group_commit() const;
 
-  // Effective durable-path configuration (after runtime probes/fallbacks).
-  bool pipeline_enabled() const { return wal_opts_.pipeline; }
+  // Effective durable-path configuration (after Open's O_DIRECT probe).
   uint32_t segment_bytes() const { return wal_opts_.segment_bytes; }
   uint32_t inflight_segments() const { return wal_opts_.inflight_segments; }
   const char* backend_name() const;
@@ -209,18 +195,15 @@ class LogManager : public LogFlusher {
   // Appends a pre-encoded payload: takes mu_ only for the buffer append
   // (serialization and CRC are done by the caller, outside the lock).
   Lsn AppendEncoded(LogRecord* rec, const std::string& payload);
-  // Appends [file_synced_, tail) to the file and syncs it (legacy path).
-  Status PersistLocked() OIR_REQUIRES(mu_);
   // Rewrites the sidecar master record.
   Status PersistMasterLocked() OIR_REQUIRES(mu_);
 
-  // Shared waiter protocol (both flusher implementations). The dedicated
-  // thread sleeps on flush_cv_ until a waiter raises requested_lsn_ past
-  // the already-covered boundary, makes the log durable, and wakes every
-  // waiter via flushed_cv_. Errors are published through an epoch counter
-  // so only the waiters of the failed round (and later) see them.
-  void FlusherLoop();   // legacy: one blocking write+fsync round under mu_
-  void PipelineLoop();  // sealer: copy under mu_, I/O at the async backend
+  // Waiter protocol. The sealer sleeps on flush_cv_ until a waiter raises
+  // requested_lsn_ past the submitted boundary, makes the log durable, and
+  // wakes every waiter via flushed_cv_. Errors are published through an
+  // epoch counter so only the waiters of the failed round (and later) see
+  // them.
+  void PipelineLoop();  // sealer: copy under mu_, I/O at the async writer
   Status FlushToLocked(Lsn lsn) OIR_REQUIRES(mu_);
 
   // Pipeline internals.
@@ -231,7 +214,7 @@ class LogManager : public LogFlusher {
     bool done = false;
     Status status;
   };
-  // AsyncLogWriter completion callback (backend thread).
+  // AsyncLogWriter completion callback (writer thread).
   void OnSegmentComplete(uint64_t seq, Status s);
   // Pops completed segments off the front of inflight_, advancing
   // durable_lsn_ (unless fail_flushes_ is set) and publishing errors.
@@ -242,7 +225,7 @@ class LogManager : public LogFlusher {
   void BuildSegmentLocked(Lsn begin, Lsn end, uint64_t* offset,
                           std::string* data) const OIR_REQUIRES(mu_);
   // Stops the sealer from submitting and waits until nothing is in flight
-  // (the backend drained and every completion was processed). Caller must
+  // (the writer drained and every completion was processed). Caller must
   // not hold mu_.
   void QuiescePipeline();
   // Record an acked commit for the exact group-size accounting.
@@ -254,26 +237,24 @@ class LogManager : public LogFlusher {
 
   int fd_ = -1;                  // file-backed mode when >= 0
   std::string path_;
-  WalOptions wal_opts_;          // effective after Open's probes
-  std::unique_ptr<AsyncLogWriter> writer_;  // file pipeline backend
+  WalOptions wal_opts_;
+  std::unique_ptr<AsyncLogWriter> writer_;  // file-backed logs only
 
   std::atomic<bool> fail_flushes_{false};
 
   mutable Mutex mu_;
-  // LSN up to which the file is written and synced.
-  Lsn file_synced_ OIR_GUARDED_BY(mu_) = 0;
   bool group_commit_ OIR_GUARDED_BY(mu_) = false;
-  bool stop_flusher_ OIR_GUARDED_BY(mu_) = false;
+  bool stop_sealer_ OIR_GUARDED_BY(mu_) = false;
   // Highest tail any waiter needs.
   Lsn requested_lsn_ OIR_GUARDED_BY(mu_) = 0;
   // Bumped on each failed flush round.
   uint64_t flush_err_seq_ OIR_GUARDED_BY(mu_) = 0;
   Status last_flush_error_ OIR_GUARDED_BY(mu_);
-  CondVar flush_cv_;    // wakes the flusher/sealer
+  CondVar flush_cv_;    // wakes the sealer
   CondVar flushed_cv_;  // wakes FlushTo waiters and QuiescePipeline
-  // Started lazily by SetGroupCommit, joined (unlocked) by the destructor
-  // after stop_flusher_ is set — never touched concurrently, so unguarded.
-  std::thread flusher_;
+  // Started by EnableGroupCommit, joined (unlocked) by the destructor
+  // after stop_sealer_ is set — never touched concurrently, so unguarded.
+  std::thread sealer_;
   // Log bytes from trim_lsn_ on, preceded by header padding; buf_[i] holds
   // the byte at LSN trim_base_ + i.
   std::string buf_ OIR_GUARDED_BY(mu_);

@@ -174,7 +174,7 @@ TEST(FailFlushesTest, SyncFlushFailsWhileSetAndHeals) {
 
 TEST(FailFlushesTest, GroupCommitFlushPublishesError) {
   LogManager log;
-  log.SetGroupCommit(true);
+  log.EnableGroupCommit();
   TxnContext ctx{1, kInvalidLsn};
   LogRecord a;
   a.type = LogType::kCommitTxn;

@@ -247,7 +247,7 @@ TEST(RebuildOptionsTest, RejectsIoPagesLargerThanPool) {
 
 TEST(GroupCommitTest, ConcurrentFlushersAllDurable) {
   LogManager log;
-  log.SetGroupCommit(true);  // force the grouped protocol on a memory log
+  log.EnableGroupCommit();  // force the grouped protocol on a memory log
   constexpr int kThreads = 8;
   constexpr int kPer = 200;
   auto before = GlobalCounters::Get().Snapshot();
@@ -287,7 +287,7 @@ TEST(GroupCommitTest, AcknowledgedCommitsSurviveCrash) {
   // forced on, the database crashes, and every acknowledged commit must be
   // present after recovery.
   auto db = test::MakeDb();
-  db->log_manager()->SetGroupCommit(true);
+  db->log_manager()->EnableGroupCommit();
 
   constexpr int kThreads = 4;
   constexpr int kPer = 50;
@@ -326,7 +326,7 @@ TEST(WriteBackTest, FlushAllDrainsThroughWorkerAndHonorsWalOrder) {
   constexpr uint32_t kDiskPages = 64;
   MemDisk disk(kPage, kDiskPages);
   LogManager log;
-  log.SetGroupCommit(true);
+  log.EnableGroupCommit();
   BufferManager bm(&disk, /*pool_frames=*/32, /*shards=*/2);
   bm.SetLogFlusher(&log);
   bm.StartWriteBack();

@@ -1,9 +1,9 @@
 // Tests for the pipelined durable WAL: FlushTo waiter correctness with
 // many threads waiting on interleaved LSNs across segment boundaries,
 // error-epoch propagation (and healing) when the durable path hits a
-// transient disk error, torn-segment-tail recovery on reopen, backend
-// selection via environment overrides, and the exact group-commit
-// accounting (commits acked / groups acked).
+// transient disk error, torn-segment-tail recovery on reopen, O_DIRECT
+// round trips, sync-mode selection via the environment override, and the
+// exact group-commit accounting (commits acked / groups acked).
 
 #include <gtest/gtest.h>
 
@@ -67,7 +67,6 @@ class ScopedEnv {
 TEST(WalPipelineTest, InterleavedWaitersAcrossSegments) {
   const std::string path = TestWalPath("interleaved");
   RemoveWalFiles(path);
-  ScopedEnv backend("OIR_WAL_BACKEND", "portable");
 
   WalOptions wal;
   wal.segment_bytes = 4096;  // force many seals
@@ -75,7 +74,6 @@ TEST(WalPipelineTest, InterleavedWaitersAcrossSegments) {
   std::unique_ptr<LogManager> log;
   ASSERT_OK(LogManager::Open(path, /*truncate=*/true, &log, wal));
   ASSERT_TRUE(log->group_commit());
-  ASSERT_TRUE(log->pipeline_enabled());
 
   constexpr int kThreads = 8;
   constexpr int kPer = 150;
@@ -127,7 +125,7 @@ TEST(WalPipelineTest, InterleavedWaitersAcrossSegments) {
 // the same LSNs — succeed and the records are durable.
 TEST(WalPipelineTest, TransientErrorPropagatesAndHeals) {
   LogManager log;  // in-memory: pipeline runs without physical I/O
-  log.SetGroupCommit(true);
+  log.EnableGroupCommit();
 
   TxnContext ctx{1, kInvalidLsn};
   LogRecord rec;
@@ -179,7 +177,6 @@ TEST(WalPipelineTest, TransientErrorPropagatesAndHeals) {
 TEST(WalPipelineTest, TornSegmentTailRecoversValidPrefix) {
   const std::string path = TestWalPath("torn");
   RemoveWalFiles(path);
-  ScopedEnv backend("OIR_WAL_BACKEND", "portable");
 
   WalOptions wal;
   wal.segment_bytes = 4096;
@@ -228,19 +225,69 @@ TEST(WalPipelineTest, TornSegmentTailRecoversValidPrefix) {
   RemoveWalFiles(path);
 }
 
-// OIR_WAL_BACKEND / OIR_WAL_SYNC force the effective configuration; the
-// portable backend must always be available.
-TEST(WalPipelineTest, EnvironmentForcesPortableBackend) {
-  const std::string path = TestWalPath("backend");
+// O_DIRECT needs sector-aligned offsets, lengths and source buffers. Many
+// committers with small segments make the sealer pad and re-materialize
+// shared sectors constantly; every acked record must survive a reopen.
+TEST(WalPipelineTest, ODirectCommitsSurviveReopen) {
+  const std::string path = TestWalPath("odirect");
   RemoveWalFiles(path);
-  ScopedEnv backend("OIR_WAL_BACKEND", "portable");
+
+  WalOptions wal;
+  wal.segment_bytes = 4096;
+  wal.sync_mode = WalSyncMode::kODirect;
+  std::unique_ptr<LogManager> log;
+  ASSERT_OK(LogManager::Open(path, /*truncate=*/true, &log, wal));
+  if (std::string(log->sync_mode_name()) != "odirect") {
+    log.reset();
+    RemoveWalFiles(path);
+    GTEST_SKIP() << "filesystem refuses O_DIRECT (e.g. tmpfs)";
+  }
+
+  constexpr int kThreads = 4;
+  constexpr int kPer = 100;
+  std::mutex mu;
+  std::vector<Lsn> acked;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      TxnContext ctx{static_cast<TxnId>(t + 1), kInvalidLsn};
+      for (int i = 0; i < kPer; ++i) {
+        LogRecord rec;
+        rec.type = LogType::kCommitTxn;
+        Lsn lsn = log->Append(&rec, &ctx);
+        ASSERT_OK(log->FlushTo(lsn));
+        std::lock_guard<std::mutex> l(mu);
+        acked.push_back(lsn);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  ASSERT_EQ(acked.size(), size_t{kThreads} * kPer);
+
+  log.reset();
+  std::unique_ptr<LogManager> reopened;
+  ASSERT_OK(LogManager::Open(path, /*truncate=*/false, &reopened, wal));
+  for (Lsn lsn : acked) {
+    LogRecord rec;
+    ASSERT_OK(reopened->ReadRecord(lsn, &rec));
+    EXPECT_EQ(rec.type, LogType::kCommitTxn);
+  }
+  reopened.reset();
+  RemoveWalFiles(path);
+}
+
+// OIR_WAL_SYNC forces the effective sync discipline over WalOptions.
+TEST(WalPipelineTest, EnvironmentForcesSyncMode) {
+  const std::string path = TestWalPath("sync_env");
+  RemoveWalFiles(path);
   ScopedEnv sync("OIR_WAL_SYNC", "fsync");
 
+  WalOptions wal;
+  wal.sync_mode = WalSyncMode::kFdatasync;
   std::unique_ptr<LogManager> log;
-  ASSERT_OK(LogManager::Open(path, /*truncate=*/true, &log));
-  EXPECT_STREQ(log->backend_name(), "portable");
+  ASSERT_OK(LogManager::Open(path, /*truncate=*/true, &log, wal));
   EXPECT_STREQ(log->sync_mode_name(), "fsync");
-  EXPECT_TRUE(log->pipeline_enabled());
+  EXPECT_TRUE(log->group_commit());
 
   TxnContext ctx{1, kInvalidLsn};
   LogRecord rec;
@@ -256,7 +303,7 @@ TEST(WalPipelineTest, EnvironmentForcesPortableBackend) {
 // crash sweep relies on must move.
 TEST(WalPipelineTest, MemPipelineSealsAndCompletes) {
   LogManager log;
-  log.SetGroupCommit(true);
+  log.EnableGroupCommit();
   auto before = GlobalCounters::Get().Snapshot();
 
   TxnContext ctx{1, kInvalidLsn};
@@ -279,7 +326,7 @@ TEST(WalPipelineTest, MemPipelineSealsAndCompletes) {
 TEST(WalPipelineTest, GroupSizeAccountingIsExact) {
   {
     LogManager log;
-    log.SetGroupCommit(true);
+    log.EnableGroupCommit();
     auto before = GlobalCounters::Get().Snapshot();
     TxnContext ctx{1, kInvalidLsn};
     constexpr int kN = 40;
@@ -295,7 +342,7 @@ TEST(WalPipelineTest, GroupSizeAccountingIsExact) {
   }
   {
     LogManager log;
-    log.SetGroupCommit(true);
+    log.EnableGroupCommit();
     auto before = GlobalCounters::Get().Snapshot();
     constexpr int kThreads = 8;
     constexpr int kPer = 100;
