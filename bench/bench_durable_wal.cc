@@ -6,10 +6,10 @@
 // The OLTP mix is read-heavy (default 5% insert+delete write
 // transactions, 95% lookups — the YCSB-B ratio; --write-pct overrides);
 // the commit latency histogram covers only logged commits — the ones
-// that actually wait on the durable path. Per-row diagnostics split the
-// commit tail into the writer's write+sync device span
-// (wal.segment_io_ns) and the full FlushTo wait (wal.commit_ack_ns), so a
-// device-bound tail is distinguishable from a software one.
+// that actually wait on the durable path. Each row also reports the
+// writer's write+sync device span per segment (LogManager::segment_io_ns,
+// over every segment the row's log wrote, load included), so a
+// device-bound commit tail is distinguishable from a software one.
 
 #include <atomic>
 #include <cstdio>
@@ -18,7 +18,6 @@
 
 #include "bench/bench_common.h"
 #include "core/rebuild.h"
-#include "obs/metrics.h"
 #include "util/clock.h"
 #include "util/counters.h"
 #include "util/histogram.h"
@@ -43,8 +42,6 @@ struct RowResult {
   double commit_max_ms = 0;
   double segment_io_p50_ms = 0;  // writer write+sync span
   double segment_io_p99_ms = 0;
-  double flush_wait_p50_ms = 0;  // FlushTo wait alone (wal.commit_ack_ns)
-  double flush_wait_p99_ms = 0;
   std::string backend;
   std::string sync;  // effective, after the O_DIRECT probe
   CounterSnapshot counters;
@@ -103,7 +100,6 @@ RowResult RunScenario(const WalCfg& cfg, uint64_t n, int oltp_threads,
 
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   commit_latency.Clear();
-  obs::MetricRegistry::Get().ResetTimers();
   auto counters0 = GlobalCounters::Get().Snapshot();
   uint64_t ops0 = ops.load();
   uint64_t t0 = NowNanos();
@@ -121,15 +117,9 @@ RowResult RunScenario(const WalCfg& cfg, uint64_t n, int oltp_threads,
   r.commit_max_ms = commit_latency.Max() / 1000.0;
   r.backend = db->log_manager()->backend_name();
   r.sync = db->log_manager()->sync_mode_name();
-  for (const auto& t : obs::MetricRegistry::Get().TakeSnapshot().timers) {
-    if (t.name == "wal.segment_io_ns") {
-      r.segment_io_p50_ms = t.p50 / 1e6;
-      r.segment_io_p99_ms = t.p99 / 1e6;
-    } else if (t.name == "wal.commit_ack_ns") {
-      r.flush_wait_p50_ms = t.p50 / 1e6;
-      r.flush_wait_p99_ms = t.p99 / 1e6;
-    }
-  }
+  const Histogram& io = db->log_manager()->segment_io_ns();
+  r.segment_io_p50_ms = io.Percentile(50) / 1e6;
+  r.segment_io_p99_ms = io.Percentile(99) / 1e6;
   stop.store(true);
   for (auto& t : threads) t.join();
 
@@ -145,10 +135,8 @@ void PrintRow(const WalCfg& cfg, const RowResult& r) {
               (unsigned long long)(cfg.segment_bytes / 1024), cfg.inflight,
               (unsigned long long)r.ops_in_window, r.OpsPerSec(),
               r.commit_p50_ms, r.commit_p99_ms, MeanGroupSize(r.counters));
-  std::printf("%-22s   device p50/p99 %.3f/%.3f ms   flush-wait p50/p99 "
-              "%.3f/%.3f ms\n",
-              "", r.segment_io_p50_ms, r.segment_io_p99_ms,
-              r.flush_wait_p50_ms, r.flush_wait_p99_ms);
+  std::printf("%-22s   device p50/p99 %.3f/%.3f ms\n", "",
+              r.segment_io_p50_ms, r.segment_io_p99_ms);
 }
 
 void WriteJsonRow(std::FILE* f, const WalCfg& cfg, const RowResult& r,
@@ -161,8 +149,7 @@ void WriteJsonRow(std::FILE* f, const WalCfg& cfg, const RowResult& r,
       "     \"window_ms\": %llu, \"ops\": %llu, \"ops_per_sec\": %.0f, "
       "\"commit_p50_ms\": %.3f, \"commit_p99_ms\": %.3f, "
       "\"commit_max_ms\": %.3f,\n"
-      "     \"device_io_p50_ms\": %.3f, \"device_io_p99_ms\": %.3f, "
-      "\"flush_wait_p50_ms\": %.3f, \"flush_wait_p99_ms\": %.3f,\n"
+      "     \"device_io_p50_ms\": %.3f, \"device_io_p99_ms\": %.3f,\n"
       "     \"commits_acked\": %llu, \"groups_acked\": %llu, "
       "\"mean_group_size\": %.2f, \"log_fsyncs\": %llu, "
       "\"segments_sealed\": %llu}%s\n",
@@ -170,8 +157,8 @@ void WriteJsonRow(std::FILE* f, const WalCfg& cfg, const RowResult& r,
       r.sync.c_str(), cfg.segment_bytes, cfg.inflight,
       (unsigned long long)r.window_ms, (unsigned long long)r.ops_in_window,
       r.OpsPerSec(), r.commit_p50_ms, r.commit_p99_ms, r.commit_max_ms,
-      r.segment_io_p50_ms, r.segment_io_p99_ms, r.flush_wait_p50_ms,
-      r.flush_wait_p99_ms, (unsigned long long)d.log_commits_acked,
+      r.segment_io_p50_ms, r.segment_io_p99_ms,
+      (unsigned long long)d.log_commits_acked,
       (unsigned long long)d.log_groups_acked, MeanGroupSize(d),
       (unsigned long long)d.log_fsyncs,
       (unsigned long long)d.wal_segments_sealed, last ? "" : ",");
@@ -192,8 +179,6 @@ int Main(int argc, char** argv) {
       write_pct = std::atoi(argv[i + 1]);
     if (arg == "--json" && i + 1 < argc) json_path = argv[i + 1];
   }
-
-  obs::MetricRegistry::SetTimersEnabled(true);
 
   std::vector<WalCfg> matrix;
   const std::vector<std::pair<const char*, WalSyncMode>> syncs = {

@@ -3,7 +3,7 @@
 // move 8 pages per disk operation. We sweep the forced-write I/O size and
 // report the disk operations the rebuild needed (the new pages are written
 // in chunk order, so multi-page transfers group perfectly). Each transfer
-// size runs twice — with and without the copy phase's read-ahead — to show
+// size runs twice — with and without the batch walk's read-ahead — to show
 // the read side shrinking symmetrically with the forced writes.
 
 #include "bench/bench_common.h"
@@ -59,7 +59,7 @@ int Main(int argc, char** argv) {
   }
   std::printf("\nExpected shape: write-ops shrinks ~linearly with the "
               "transfer size while\npages-written stays constant; "
-              "read-ops shrinks the same way only when the\ncopy phase's "
+              "read-ops shrinks the same way only when the\nbatch walk's "
               "read-ahead is on (the forced-write/read-ahead symmetry).\n");
   return 0;
 }

@@ -12,7 +12,6 @@
 #include "core/db.h"
 #include "core/index.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace {
@@ -35,7 +34,6 @@ int main(int argc, char** argv) {
   std::unique_ptr<Db> db;
   Check(Db::Open(opts, &db).ok(), "Db::Open");
 
-  obs::MetricRegistry::SetTimersEnabled(true);
   obs::TraceBuffer::Get().SetEnabled(true);
   obs::TraceBuffer::Get().Clear();
 
@@ -63,15 +61,13 @@ int main(int argc, char** argv) {
 
   const std::string stats = db->DumpStatsJson();
   Check(obs::JsonIsValid(stats), "DumpStatsJson is valid JSON");
-  for (const char* section : {"\"counters\"", "\"pool\"", "\"wal\"",
-                              "\"lock\"", "\"rebuild\"", "\"timers\""}) {
+  for (const char* section :
+       {"\"counters\"", "\"pool\"", "\"wal\"", "\"lock\"",
+        "\"rebuild_progress\"", "\"rebuild\"", "\"wait_profile\""}) {
     Check(stats.find(section) != std::string::npos, section);
   }
   Check(stats.find("\"keys_moved\"") != std::string::npos,
         "rebuild report spliced into stats");
-
-  const std::string registry = obs::MetricRegistry::Get().ToJson();
-  Check(obs::JsonIsValid(registry), "MetricRegistry::ToJson is valid JSON");
 
   const std::string trace = obs::TraceBuffer::Get().DumpChromeTracing();
   Check(obs::JsonIsValid(trace), "chrome trace is valid JSON");

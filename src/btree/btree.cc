@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "obs/metrics.h"
 #include "testing/crash_point.h"
 #include "util/coding.h"
 #include "util/counters.h"
@@ -315,9 +314,6 @@ Status BTree::AbortNta(OpCtx op, NtaScope* nta) {
 
 Status BTree::Traverse(OpCtx op, const Slice& key, bool writer,
                        uint16_t target_level, PageRef* out, Path* path) {
-  static obs::TimerStat* const timer =
-      obs::MetricRegistry::Get().Timer("btree.traverse_ns");
-  obs::ScopedTimer scope(timer);
   auto& counters = GlobalCounters::Get();
   int restarts = -1;
 

@@ -143,7 +143,7 @@ Status Db::OpenExisting(const DbOptions& options, std::unique_ptr<Db>* out,
   OIR_RETURN_IF_ERROR(rm.Finish(st));
   db->txn_mgr_->ResetAfterCrash(rm.max_txn_id() + 1);
   db->AdoptRebuildResume(rm.rebuild_resume());
-  obs::MetricRegistry::Get().SetReport("recovery", st->ToJson());
+  db->NoteRecovery(*st);
   db->StartObservability();
   *out = std::move(db);
   return Status::OK();
@@ -224,8 +224,13 @@ Status Db::CrashAndRecover(RecoveryStats* stats) {
   OIR_RETURN_IF_ERROR(rm.Finish(st));
   txn_mgr_->ResetAfterCrash(rm.max_txn_id() + 1);
   AdoptRebuildResume(rm.rebuild_resume());
-  obs::MetricRegistry::Get().SetReport("recovery", st->ToJson());
+  NoteRecovery(*st);
   return Status::OK();
+}
+
+void Db::NoteRecovery(const RecoveryStats& stats) {
+  MutexLock l(recovery_mu_);
+  last_recovery_ = stats;
 }
 
 void Db::AdoptRebuildResume(const RebuildResumeState& resume) {
@@ -271,15 +276,22 @@ Status Db::GetStats(StatsReport* out) {
   out->wal_sync_mode = log_->sync_mode_name();
   out->wal_segment_bytes = log_->segment_bytes();
   out->wal_inflight_segments = log_->inflight_segments();
+  const Histogram& io = log_->segment_io_ns();
+  out->wal_segment_io_count = io.Count();
+  out->wal_segment_io_p50_ns = io.Percentile(50);
+  out->wal_segment_io_p99_ns = io.Percentile(99);
   out->locked_keys = locks_->NumLockedKeys();
   out->root_page = tree_->root();
   out->pages_allocated = space_->CountInState(PageState::kAllocated);
   out->pages_deallocated = space_->CountInState(PageState::kDeallocated);
   out->end_page = space_->end_page();
-  auto& reg = obs::MetricRegistry::Get();
-  out->last_rebuild_json = reg.GetReport("rebuild");
-  out->last_recovery_json = reg.GetReport("recovery");
-  out->metrics = reg.TakeSnapshot();
+  out->rebuild_progress = index_->rebuilder().progress();
+  RebuildResult rebuild;
+  if (index_->rebuilder().last_result(&rebuild)) {
+    out->last_rebuild_json = rebuild.ToJson();
+  }
+  MutexLock l(recovery_mu_);
+  if (last_recovery_) out->last_recovery_json = last_recovery_->ToJson();
   return Status::OK();
 }
 
@@ -317,6 +329,9 @@ std::string Db::DumpStatsJson() {
   w.Key("sync_mode").Value(r.wal_sync_mode);
   w.Key("segment_bytes").Value(r.wal_segment_bytes);
   w.Key("inflight_segments").Value(r.wal_inflight_segments);
+  w.Key("segment_io_count").Value(r.wal_segment_io_count);
+  w.Key("segment_io_p50_ns").Value(r.wal_segment_io_p50_ns);
+  w.Key("segment_io_p99_ns").Value(r.wal_segment_io_p99_ns);
   w.Key("records").Value(r.counters.log_records);
   w.Key("flush_calls").Value(r.counters.log_flush_calls);
   w.Key("fsyncs").Value(r.counters.log_fsyncs);
@@ -347,6 +362,26 @@ std::string Db::DumpStatsJson() {
   w.Key("end_page").Value(r.end_page);
   w.EndObject();
 
+  const obs::RebuildProgress& p = r.rebuild_progress;
+  w.Key("rebuild_progress").BeginObject();
+  w.Key("running").Value(p.running);
+  w.Key("done").Value(p.done);
+  w.Key("resumed").Value(p.resumed);
+  w.Key("leaves_total").Value(p.leaves_total);
+  w.Key("leaves_rebuilt").Value(p.leaves_rebuilt);
+  w.Key("current_page").Value(uint64_t{p.current_page});
+  w.Key("top_actions").Value(p.top_actions);
+  w.Key("transactions").Value(p.transactions);
+  w.Key("batches_truncated").Value(p.batches_truncated);
+  w.Key("retries").Value(p.retries);
+  w.Key("copy_us").Value(p.copy_us);
+  w.Key("propagate_us").Value(p.propagate_us);
+  w.Key("flush_us").Value(p.flush_us);
+  w.Key("progress_records").Value(p.progress_records);
+  w.Key("throttle_pauses").Value(p.throttle_pauses);
+  w.Key("throttle_us").Value(p.throttle_us);
+  w.EndObject();
+
   w.Key("rebuild");
   if (r.last_rebuild_json.empty()) {
     w.BeginObject().EndObject();
@@ -359,27 +394,6 @@ std::string Db::DumpStatsJson() {
   } else {
     w.RawValue(r.last_recovery_json);
   }
-
-  w.Key("timers").BeginObject();
-  for (const auto& t : r.metrics.timers) {
-    w.Key(t.name).BeginObject();
-    w.Key("count").Value(t.count);
-    w.Key("sum").Value(t.sum);
-    w.Key("min").Value(t.min);
-    w.Key("max").Value(t.max);
-    w.Key("mean").Value(t.mean);
-    w.Key("p50").Value(t.p50);
-    w.Key("p95").Value(t.p95);
-    w.Key("p99").Value(t.p99);
-    w.EndObject();
-  }
-  w.EndObject();
-
-  w.Key("gauges").BeginObject();
-  for (const auto& [name, v] : r.metrics.gauges) {
-    w.Key(name).Value(v);
-  }
-  w.EndObject();
 
   w.Key("wait_profile").RawValue(obs::WaitProfiler::ToJson());
 
@@ -417,7 +431,6 @@ std::string Db::DumpStatsText() {
                 (unsigned long long)r.end_page);
   out += buf;
   out += "counters: " + r.counters.ToString() + "\n";
-  out += obs::MetricRegistry::Get().ToText();
   return out;
 }
 

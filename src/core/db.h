@@ -6,13 +6,13 @@
 // together, and drives crash simulation + restart recovery.
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 
 #include "btree/btree.h"
 #include "core/options.h"
 #include "core/rebuild_journal.h"
-#include "obs/metrics.h"
 #include "recovery/recovery.h"
 #include "sync/mutex.h"
 #include "txn/transaction_manager.h"
@@ -41,6 +41,10 @@ struct StatsReport {
   std::string wal_sync_mode;  // effective sync discipline
   uint64_t wal_segment_bytes = 0;
   uint64_t wal_inflight_segments = 0;
+  // Write+sync time of completed segments (file-backed logs only).
+  uint64_t wal_segment_io_count = 0;
+  double wal_segment_io_p50_ns = 0;
+  double wal_segment_io_p99_ns = 0;
 
   // Lock manager.
   uint64_t locked_keys = 0;
@@ -53,12 +57,12 @@ struct StatsReport {
   uint64_t pages_deallocated = 0;
   uint64_t end_page = 0;
 
-  // Last rebuild / recovery of this process, as JSON objects ("" if none).
+  // This Db's running (or last) online rebuild.
+  obs::RebuildProgress rebuild_progress;
+
+  // Last rebuild / recovery of this Db, as JSON objects ("" if none).
   std::string last_rebuild_json;
   std::string last_recovery_json;
-
-  // Registry view: every counter, gauge and timer histogram summary.
-  obs::MetricRegistry::Snapshot metrics;
 };
 
 class Db {
@@ -115,11 +119,11 @@ class Db {
   Status ResumeRebuild(RebuildOptions options, RebuildResult* result);
 
   // Fills `out` with a stats snapshot spanning the buffer pool, WAL, lock
-  // manager, B-tree, space map, global counters and the metric registry.
+  // manager, B-tree, space map, rebuild, recovery and global counters.
   Status GetStats(StatsReport* out);
 
   // The same snapshot as one JSON document with "counters", "pool", "wal",
-  // "lock", "btree", "space", "rebuild", "recovery", "timers", "gauges"
+  // "lock", "btree", "space", "rebuild_progress", "rebuild", "recovery"
   // and "wait_profile" sections.
   std::string DumpStatsJson();
 
@@ -154,6 +158,8 @@ class Db {
   // Installs recovery's rebuild resume point: records it for
   // ResumeRebuild and re-arms (or clears) the checkpoint journal.
   void AdoptRebuildResume(const RebuildResumeState& resume);
+  // Keeps the stats of the restart recovery that just ran for GetStats.
+  void NoteRecovery(const RecoveryStats& stats);
 
   // Registers the flight-recorder providers (stats / lock table / active
   // transactions) and starts the stats publisher if configured. Called at
@@ -181,6 +187,10 @@ class Db {
   // rebuild_journal.h), plus the resume point recovered after a crash.
   RebuildJournal rebuild_journal_;
   RebuildResumeState pending_rebuild_;
+
+  // Stats of the last restart recovery (OpenExisting / CrashAndRecover).
+  Mutex recovery_mu_;
+  std::optional<RecoveryStats> last_recovery_ OIR_GUARDED_BY(recovery_mu_);
 
   // Flight-recorder registration tokens (0 = not registered).
   uint64_t fr_stats_token_ = 0;

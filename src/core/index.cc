@@ -10,7 +10,8 @@ Index::Index(BTree* tree, TransactionManager* tm, BufferManager* bm,
              LogManager* log, LockManager* locks, SpaceManager* space,
              RebuildJournal* journal)
     : tree_(tree), tm_(tm), bm_(bm), log_(log), locks_(locks),
-      space_(space), journal_(journal) {}
+      space_(space),
+      rebuilder_(tree, tm, bm, log, locks, space, journal) {}
 
 namespace {
 
@@ -74,8 +75,7 @@ std::unique_ptr<LockingCursor> Index::NewLockingCursor(Transaction* txn) {
 Status Index::RebuildOnline(const RebuildOptions& options,
                             RebuildResult* result) {
   // No table lock, no logical locks — the whole point of the paper.
-  OnlineRebuilder rebuilder(tree_, tm_, bm_, log_, locks_, space_, journal_);
-  return rebuilder.Run(options, result);
+  return rebuilder_.Run(options, result);
 }
 
 Status Index::RebuildOffline(RebuildResult* result) {

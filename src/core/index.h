@@ -85,6 +85,10 @@ class Index {
   Status RebuildOnline(const RebuildOptions& options, RebuildResult* result);
   Status RebuildOffline(RebuildResult* result);
 
+  // The index's one online rebuilder: its progress() and last_result()
+  // read this index's running or last rebuild from any thread.
+  const OnlineRebuilder& rebuilder() const { return rebuilder_; }
+
   BTree* tree() { return tree_; }
 
  private:
@@ -99,7 +103,9 @@ class Index {
   LogManager* const log_;
   LockManager* const locks_;
   SpaceManager* const space_;
-  RebuildJournal* const journal_;
+  // Lives as long as the index, so its progress tracker outlives every
+  // stats reader.
+  OnlineRebuilder rebuilder_;
 };
 
 }  // namespace oir

@@ -101,10 +101,9 @@ struct RebuildOptions {
   // not exceed the buffer pool size (the run buffer is io_pages pages).
   uint32_t io_pages = 8;
 
-  // Read-ahead twin of the forced write (Section 6.3 symmetry): the copy
-  // phase prefetches each top action's physically contiguous source-page
-  // runs with multi-page transfers of up to io_pages pages. Exposed for
-  // ablation.
+  // Read-ahead twin of the forced write (Section 6.3 symmetry): while the
+  // lock phase walks the old leaf chain it prefetches the pages ahead with
+  // multi-page transfers of up to io_pages pages. Exposed for ablation.
   bool prefetch = true;
 
   // Section 5.5 enhancement: fill level-1 pages by moving inserts into the
@@ -117,17 +116,10 @@ struct RebuildOptions {
   // removing the need for the flush-before-free ordering (Section 3).
   bool log_full_keys = false;
 
-  // Section 6.2 enhancement: set SPLIT bits (writers blocked, readers
-  // allowed) on the pages being rebuilt during the copy phase, and flip
-  // them to SHRINK bits only once the copying is done and the old pages
-  // are about to be unlinked. PP always gets a SHRINK bit (it receives
-  // rows). Default on; exposed for ablation.
-  bool readers_during_copy = true;
-
   // Invoked on the rebuild thread after every top action and transaction
   // commit with a snapshot of the rebuild's progress. Must not call back
   // into the database. Leave empty for no callbacks; other threads can also
-  // poll OnlineRebuilder::progress() directly.
+  // poll Index::rebuilder().progress() directly.
   std::function<void(const obs::RebuildProgress&)> on_progress;
 
   // ---- resumability ----

@@ -5,7 +5,6 @@
 
 #include "core/rebuild_throttle.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/waitstate.h"
 #include "testing/crash_point.h"
@@ -167,30 +166,6 @@ Status OnlineRebuilder::Run(const RebuildOptions& options,
         options.resume_cursor_valid ? options.resume_cursor : std::string();
   }
 
-  // Live-progress gauges for pollers (oir_top): registered only while the
-  // rebuild runs; the callbacks capture progress_, which outlives them.
-  auto& reg = obs::MetricRegistry::Get();
-  obs::RebuildProgressTracker* pr = &progress_;
-  reg.RegisterGauge("rebuild.active", [] { return uint64_t{1}; });
-  reg.RegisterGauge("rebuild.leaves_total", [pr] {
-    return pr->leaves_total.load(std::memory_order_relaxed);
-  });
-  reg.RegisterGauge("rebuild.leaves_rebuilt", [pr] {
-    return pr->leaves_rebuilt.load(std::memory_order_relaxed);
-  });
-  reg.RegisterGauge("rebuild.top_actions", [pr] {
-    return pr->top_actions.load(std::memory_order_relaxed);
-  });
-  reg.RegisterGauge("rebuild.progress_records", [pr] {
-    return pr->progress_records.load(std::memory_order_relaxed);
-  });
-  reg.RegisterGauge("rebuild.throttle_pauses", [pr] {
-    return pr->throttle_pauses.load(std::memory_order_relaxed);
-  });
-  reg.RegisterGauge("rebuild.throttle_us", [pr] {
-    return pr->throttle_us.load(std::memory_order_relaxed);
-  });
-
   CounterSnapshot before = GlobalCounters::Get().Snapshot();
   uint64_t cpu0 = ThreadCpuNanos();
   uint64_t wall0 = NowNanos();
@@ -202,19 +177,18 @@ Status OnlineRebuilder::Run(const RebuildOptions& options,
   result->log_records = delta.log_records;
   result->level1_visits = delta.level1_visits;
   result->io_ops = delta.io_ops;
-  reg.UnregisterGauge("rebuild.active");
-  reg.UnregisterGauge("rebuild.leaves_total");
-  reg.UnregisterGauge("rebuild.leaves_rebuilt");
-  reg.UnregisterGauge("rebuild.top_actions");
-  reg.UnregisterGauge("rebuild.progress_records");
-  reg.UnregisterGauge("rebuild.throttle_pauses");
-  reg.UnregisterGauge("rebuild.throttle_us");
   progress_.Finish();
   if (options.on_progress) options.on_progress(progress_.Load());
-  // The last completed rebuild is exported through the JSON stats path
-  // (Db::DumpStatsJson "rebuild" section).
-  obs::MetricRegistry::Get().SetReport("rebuild", result->ToJson());
+  MutexLock l(last_mu_);
+  last_ = *result;
   return s;
+}
+
+bool OnlineRebuilder::last_result(RebuildResult* out) const {
+  MutexLock l(last_mu_);
+  if (!last_) return false;
+  *out = *last_;
+  return true;
 }
 
 std::string RebuildResult::ToJson() const {
@@ -262,6 +236,7 @@ Status OnlineRebuilder::Impl::Run() {
 
   bool done = false;
   BTree::Path path;
+  Status s;  // stays OK while the loop runs; an error ends it
   while (!done) {
     OIR_CRASH_POINT("rebuild.txn.begin");
     std::unique_ptr<Transaction> txn = tm->Begin();
@@ -269,7 +244,6 @@ Status OnlineRebuilder::Impl::Run() {
     flush_pages_txn.clear();
     old_pages_txn.clear();
     uint32_t pages_this_txn = 0;
-    Status s;
     while (pages_this_txn < opts.xactsize && !done) {
       size_t before = old_pages_txn.size();
       OIR_TRACE(obs::TraceEventType::kTopActionBegin, result->top_actions, 0);
@@ -297,38 +271,13 @@ Status OnlineRebuilder::Impl::Run() {
                                   std::memory_order_relaxed);
       if (opts.on_progress) opts.on_progress(progress->Load());
     }
-    if (!s.ok()) {
-      // Abort path (Section 4.1.3): the in-flight top action was already
-      // rolled back inside TopAction; completed top actions survive the
-      // transaction rollback (nested top actions). Their new pages must be
-      // flushed before their old pages are freed.
-      // Best-effort: the abort outcome does not depend on this flush.
-      (void)bm->FlushPages(flush_pages_txn, opts.io_pages);
-      Status ab = tm->Abort(txn.get());
-      (void)ab;
-      for (PageId p : old_pages_txn) {
-        if (space->GetState(p) == PageState::kDeallocated) {
-          // Drop the stale buffer BEFORE the page becomes allocatable;
-          // otherwise a concurrent allocation could format the page and
-          // have its frame discarded from under it.
-          bm->Discard(p);
-          space->Free(p);
-        }
-      }
-      {
-        RebuildThrottle::Stats ts = throttle.stats();
-        result->throttle_pauses = ts.pauses;
-        result->throttle_pause_us = ts.pause_us;
-      }
-      return s;
-    }
     // Commit path (Section 3): force the new pages, commit, then free the
     // old pages found by scanning the transaction's log chain.
-    static obs::TimerStat* const flush_timer =
-        obs::MetricRegistry::Get().Timer("rebuild.flush_ns");
     const uint64_t flush0 = NowNanos();
-    OIR_CRASH_POINT("rebuild.txn.flush");
-    OIR_RETURN_IF_ERROR(bm->FlushPages(flush_pages_txn, opts.io_pages));
+    if (s.ok()) {
+      OIR_CRASH_POINT("rebuild.txn.flush");
+      s = bm->FlushPages(flush_pages_txn, opts.io_pages);
+    }
     // Durable progress rides AHEAD of the commit record: the group-commit
     // flush that makes this transaction durable makes the progress record
     // durable in the same prefix, so the resume point can never trail the
@@ -338,20 +287,39 @@ Status OnlineRebuilder::Impl::Run() {
     // the same durable prefix, and they survive the rollback.) The done
     // record doubles as the "no resume needed" marker for recovery and
     // clears the checkpoint journal.
-    if (opts.progress_interval_txns > 0) {
+    if (s.ok() && opts.progress_interval_txns > 0) {
       ++txns_since_progress;
       if (done || txns_since_progress >= opts.progress_interval_txns) {
         txns_since_progress = 0;
-        OIR_RETURN_IF_ERROR(LogProgress(/*done_flag=*/done, /*in_txn=*/true));
+        s = LogProgress(/*done_flag=*/done, /*in_txn=*/true);
       }
+    }
+    if (!s.ok()) {
+      // Abort path (Section 4.1.3): the in-flight top action was already
+      // rolled back inside TopAction; completed top actions survive the
+      // transaction rollback (nested top actions). Their new pages must
+      // reach disk before their old pages are freed (Section 3); if this
+      // forced write fails too, the old pages stay deallocated and restart
+      // recovery frees them.
+      const bool flushed = bm->FlushPages(flush_pages_txn, opts.io_pages).ok();
+      (void)tm->Abort(txn.get());  // already propagating the first error
+      for (PageId p : old_pages_txn) {
+        if (flushed && space->GetState(p) == PageState::kDeallocated) {
+          // Drop the stale buffer BEFORE the page becomes allocatable;
+          // otherwise a concurrent allocation could format the page and
+          // have its frame discarded from under it.
+          bm->Discard(p);
+          space->Free(p);
+        }
+      }
+      break;
     }
     OIR_CRASH_POINT("rebuild.txn.commit");
     OIR_RETURN_IF_ERROR(tm->Commit(txn.get()));
     OIR_RETURN_IF_ERROR(FreeOldPagesViaLogScan(txn.get()));
     OIR_CRASH_POINT("rebuild.txn.freed");
-    const uint64_t flush_ns = NowNanos() - flush0;
-    progress->flush_us.fetch_add(flush_ns / 1000, std::memory_order_relaxed);
-    if (obs::MetricRegistry::timers_enabled()) flush_timer->Record(flush_ns);
+    progress->flush_us.fetch_add((NowNanos() - flush0) / 1000,
+                                 std::memory_order_relaxed);
     ++result->transactions;
     progress->transactions.fetch_add(1, std::memory_order_relaxed);
     if (opts.on_progress) opts.on_progress(progress->Load());
@@ -359,7 +327,7 @@ Status OnlineRebuilder::Impl::Run() {
   RebuildThrottle::Stats ts = throttle.stats();
   result->throttle_pauses = ts.pauses;
   result->throttle_pause_us = ts.pause_us;
-  return Status::OK();
+  return s;
 }
 
 Status OnlineRebuilder::Impl::LogProgress(bool done_flag, bool in_txn) {
@@ -541,15 +509,13 @@ Status OnlineRebuilder::Impl::LockBatch(OpCtx op, BTree::NtaScope* nta,
       // during the copy phase so readers stay unblocked; PP gets SHRINK
       // (it receives rows). The SPLIT bits are flipped to SHRINK after the
       // copying, right before the old pages are unlinked.
-      const uint16_t batch_bit =
-          opts.readers_during_copy ? kFlagSplit : kFlagShrink;
       *pp_id = prev_guess;
       if (prev_guess != kInvalidPageId) {
         nta->locked.push_back(prev_guess);
         OIR_RETURN_IF_ERROR(SetBit(op, nta, prev_guess, kFlagShrink));
       }
       nta->locked.push_back(p1_id);
-      OIR_RETURN_IF_ERROR(SetBit(op, nta, p1_id, batch_bit));
+      OIR_RETURN_IF_ERROR(SetBit(op, nta, p1_id, kFlagSplit));
 
       // Extend the batch with P2..Pn under conditional locks.
       batch->clear();
@@ -598,7 +564,7 @@ Status OnlineRebuilder::Impl::LockBatch(OpCtx op, BTree::NtaScope* nta,
           continue;  // chain changed; re-read and retry this link
         }
         nta->locked.push_back(next);
-        OIR_RETURN_IF_ERROR(SetBit(op, nta, next, batch_bit));
+        OIR_RETURN_IF_ERROR(SetBit(op, nta, next, kFlagSplit));
         batch->push_back(next);
         cur = next;
       }
@@ -620,19 +586,14 @@ Status OnlineRebuilder::Impl::LockBatch(OpCtx op, BTree::NtaScope* nta,
 
 Status OnlineRebuilder::Impl::TopAction(OpCtx op, BTree::Path* path,
                                         bool* done) {
-  static obs::TimerStat* const copy_timer =
-      obs::MetricRegistry::Get().Timer("rebuild.copy_ns");
-  static obs::TimerStat* const prop_timer =
-      obs::MetricRegistry::Get().Timer("rebuild.propagate_ns");
   const uint64_t ta = result->top_actions;  // ordinal for trace correlation
   const uint64_t copy0 = NowNanos();
   OIR_TRACE(obs::TraceEventType::kCopyPhaseBegin, ta, 0);
   // Copy phase = lock the batch + copy the rows (Section 4.1). Charged as
   // one phase; ends before propagation begins.
   auto end_copy = [&](uint64_t pages) {
-    const uint64_t ns = NowNanos() - copy0;
-    progress->copy_us.fetch_add(ns / 1000, std::memory_order_relaxed);
-    if (obs::MetricRegistry::timers_enabled()) copy_timer->Record(ns);
+    progress->copy_us.fetch_add((NowNanos() - copy0) / 1000,
+                                std::memory_order_relaxed);
     OIR_TRACE(obs::TraceEventType::kCopyPhaseEnd, ta, pages);
   };
 
@@ -702,9 +663,8 @@ Status OnlineRebuilder::Impl::TopAction(OpCtx op, BTree::Path* path,
                   have_pp_route, path);
   }
   if (prop_began) {
-    const uint64_t ns = NowNanos() - prop0;
-    progress->propagate_us.fetch_add(ns / 1000, std::memory_order_relaxed);
-    if (obs::MetricRegistry::timers_enabled()) prop_timer->Record(ns);
+    progress->propagate_us.fetch_add((NowNanos() - prop0) / 1000,
+                                     std::memory_order_relaxed);
     OIR_TRACE(obs::TraceEventType::kPropagatePhaseEnd, ta, 0);
   }
   if (!s.ok()) {
@@ -739,25 +699,6 @@ Status OnlineRebuilder::Impl::CopyPhase(OpCtx op, BTree::NtaScope* nta,
   };
   std::vector<Source> sources;
   sources.reserve(batch.size());
-
-  // Read-ahead twin of the forced write (Section 6.3): pull the batch's
-  // physically contiguous source-page runs into the pool with multi-page
-  // transfers of up to io_pages pages each. Cached pages win inside
-  // Prefetch, and any failure just falls back to the per-page Fetch below.
-  if (opts.prefetch) {
-    size_t i = 0;
-    while (i < batch.size()) {
-      size_t j = i + 1;
-      while (j < batch.size() && batch[j] == batch[j - 1] + 1 &&
-             j - i < opts.io_pages) {
-        ++j;
-      }
-      if (j - i > 1) {
-        (void)bm->Prefetch(batch[i], static_cast<uint32_t>(j - i));
-      }
-      i = j;
-    }
-  }
 
   for (PageId p : batch) {
     PageRef ref;
@@ -965,16 +906,13 @@ Status OnlineRebuilder::Impl::CopyPhase(OpCtx op, BTree::NtaScope* nta,
   // The copying is done: flip the batch pages' SPLIT bits to SHRINK bits
   // (under an X latch, Section 6.2) so readers drain before the pages are
   // unlinked and deallocated.
-  if (opts.readers_during_copy) {
-    for (PageId p : batch) {
-      PageRef ref;
-      OIR_RETURN_IF_ERROR(bm->Fetch(p, &ref));
-      ref.latch().LockX();
-      ref.header()->flags =
-          static_cast<uint16_t>((ref.header()->flags & ~kFlagSplit) |
-                                kFlagShrink);
-      ref.latch().UnlockX();
-    }
+  for (PageId p : batch) {
+    PageRef ref;
+    OIR_RETURN_IF_ERROR(bm->Fetch(p, &ref));
+    ref.latch().LockX();
+    ref.header()->flags = static_cast<uint16_t>(
+        (ref.header()->flags & ~kFlagSplit) | kFlagShrink);
+    ref.latch().UnlockX();
   }
   OIR_CRASH_POINT("rebuild.copy.bits_flipped");
 

@@ -33,11 +33,13 @@
 // (Section 3).
 
 #include <memory>
+#include <optional>
 
 #include "btree/btree.h"
 #include "core/options.h"
 #include "core/rebuild_journal.h"
 #include "obs/progress.h"
+#include "sync/mutex.h"
 #include "txn/transaction_manager.h"
 
 namespace oir {
@@ -60,10 +62,16 @@ class OnlineRebuilder {
   // estimate taken at the start of the run.
   obs::RebuildProgress progress() const { return progress_.Load(); }
 
+  // Result of the last Run that got past option validation, successful or
+  // not; false before the first one. Callable from any thread.
+  bool last_result(RebuildResult* out) const;
+
  private:
   struct Impl;
 
   obs::RebuildProgressTracker progress_;
+  mutable Mutex last_mu_;
+  std::optional<RebuildResult> last_ OIR_GUARDED_BY(last_mu_);
   BTree* const tree_;
   TransactionManager* const tm_;
   BufferManager* const bm_;

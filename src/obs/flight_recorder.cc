@@ -9,7 +9,6 @@
 #include <cstring>
 
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/waitstate.h"
 #include "util/clock.h"
@@ -135,7 +134,10 @@ std::string FlightRecorder::BuildBundleJson(const std::string& reason) {
   w.Key("ts_ns").Value(NowNanos());
   w.Key("pid").Value(static_cast<uint64_t>(::getpid()));
   w.Key("wait_profile").RawValue(WaitProfiler::ToJson());
-  w.Key("metrics").RawValue(MetricRegistry::Get().ToJson());
+  w.Key("counters").BeginObject();
+  GlobalCounters::Get().Snapshot().ForEach(
+      [&w](const char* name, uint64_t v) { w.Key(name).Value(v); });
+  w.EndObject();
   w.Key("trace").RawValue(TraceBuffer::Get().DumpJson());
   {
     MutexLock l(ring_mu_);
@@ -170,6 +172,13 @@ bool FlightRecorder::DumpNow(const std::string& reason, std::string* path) {
   {
     MutexLock l(path_mu_);
     last_dump_path_ = file;
+    if (path == nullptr) {
+      triggered_.push_back(file);
+      if (triggered_.size() > kMaxTriggeredBundles) {
+        std::remove(triggered_.front().c_str());
+        triggered_.pop_front();
+      }
+    }
     dumps_completed_.fetch_add(1, std::memory_order_release);
     dumped_cv_.NotifyAll();
   }

@@ -25,7 +25,9 @@
 //
 // Bundles are written as <dir>/oir_flight_<pid>_<seq>.json via temp file +
 // rename, so a reader never sees a torn bundle. <dir> is OIR_FLIGHT_DIR,
-// else TMPDIR, else /tmp.
+// else TMPDIR, else /tmp. Triggered bundles (watchdog fires, crash-point
+// trips) are capped at the newest kMaxTriggeredBundles per process; a
+// bundle whose path the caller asked for is never deleted.
 
 #include <atomic>
 #include <cstdint>
@@ -44,6 +46,7 @@ namespace oir::obs {
 class FlightRecorder {
  public:
   static constexpr size_t kMaxRecentStats = 8;
+  static constexpr size_t kMaxTriggeredBundles = 16;
 
   static FlightRecorder& Get();
 
@@ -69,7 +72,9 @@ class FlightRecorder {
   void Trigger(const std::string& reason);
 
   // Synchronous dump; do not call with component locks held. On success
-  // returns true and stores the bundle path in *path (if non-null).
+  // returns true and stores the bundle path in *path. A null `path` marks
+  // the bundle as triggered: it joins the capped set and, once
+  // kMaxTriggeredBundles newer ones exist, is deleted.
   bool DumpNow(const std::string& reason, std::string* path);
 
   // Best-effort fatal-signal hook (SIGSEGV/SIGBUS/SIGABRT/SIGFPE): dumps a
@@ -116,6 +121,7 @@ class FlightRecorder {
   mutable Mutex path_mu_;
   CondVar dumped_cv_;
   std::string last_dump_path_ OIR_GUARDED_BY(path_mu_);
+  std::deque<std::string> triggered_ OIR_GUARDED_BY(path_mu_);  // oldest 1st
   std::atomic<uint64_t> dumps_completed_{0};
   std::atomic<uint64_t> seq_{0};
 };

@@ -12,7 +12,8 @@ namespace {
 
 constexpr size_t kShards = 16;
 
-// Per-thread shard index, same striping as TimerStat.
+// Per-thread shard index: threads are striped over the shards in
+// registration order, so a small thread count gets distinct shards.
 size_t ThreadShardIndex() {
   static std::atomic<size_t> next{0};
   thread_local size_t idx = next.fetch_add(1, std::memory_order_relaxed);

@@ -20,9 +20,9 @@
 // leave room for snapshot races.
 //
 // Everything is gated by one relaxed atomic flag (default off), same
-// discipline as MetricRegistry timers and the trace ring: a disabled scope
-// costs one predicted branch. Aggregation is 16-way thread-striped like
-// TimerStat, so concurrent recorders rarely share a cache line or mutex.
+// discipline as the trace ring: a disabled scope costs one predicted
+// branch. Aggregation is 16-way thread-striped, so concurrent recorders
+// rarely share a cache line or mutex.
 //
 // This header is included from sync/latch.h and therefore stays minimal:
 // atomics and the clock only — no sync/mutex.h, no histogram.

@@ -17,7 +17,6 @@
 #include <memory>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "obs/waitstate.h"
 #include "sync/mutex.h"
 #include "util/clock.h"
@@ -240,16 +239,12 @@ void AsyncLogWriter::WorkerLoop() {
     queue_.pop_front();
     mu_.Unlock();
     // Write+sync span: the device's share of commit latency.
-    static obs::TimerStat* const io_timer =
-        obs::MetricRegistry::Get().Timer("wal.segment_io_ns");
     const uint64_t io_start = NowNanos();
     Status s = WriteDurable(req);
-    if (obs::MetricRegistry::timers_enabled()) {
-      io_timer->Record(NowNanos() - io_start);
-    }
+    const uint64_t io_ns = NowNanos() - io_start;
     // No locks held across the callback (the contract the WAL's
     // completion path relies on).
-    cb_(req.seq, s);
+    cb_(req.seq, s, io_ns);
     mu_.Lock();
     --outstanding_;
     cv_.NotifyAll();  // wake Drain() and idle workers alike

@@ -82,8 +82,10 @@ constexpr uint32_t kWalSectorSize = 512;
 class AsyncLogWriter {
  public:
   // Invoked once per Submit(), on a worker thread, with no internal locks
-  // held. `seq` is the caller's token; `s` is OK iff the bytes are stable.
-  using CompletionFn = std::function<void(uint64_t seq, Status s)>;
+  // held. `seq` is the caller's token; `s` is OK iff the bytes are stable;
+  // `io_ns` is the wall time of the request's write+sync.
+  using CompletionFn =
+      std::function<void(uint64_t seq, Status s, uint64_t io_ns)>;
 
   // `inflight` is the maximum number of requests the caller keeps
   // outstanding (>= 1); it sizes the worker pool.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "obs/metrics.h"
 #include "obs/waitstate.h"
 #include "testing/crash_point.h"
 #include "util/counters.h"
@@ -210,9 +209,6 @@ Status BufferManager::WriteBack(size_t frame) {
 
 Status BufferManager::Fetch(PageId id, PageRef* out) {
   OIR_CHECK(id != kInvalidPageId);
-  static obs::TimerStat* const timer =
-      obs::MetricRegistry::Get().Timer("pool.fetch_ns");
-  obs::ScopedTimer scope(timer);
   auto& c = GlobalCounters::Get();
   Shard& sh = ShardOf(id);
   sh.mu.Lock();

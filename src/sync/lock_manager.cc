@@ -4,7 +4,6 @@
 
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/waitstate.h"
 #include "util/counters.h"
@@ -76,9 +75,6 @@ void LockManager::WatchdogFire(const Shard& shard, const LockKey& key,
 
 Status LockManager::Lock(TxnId owner, LockKey key, LockMode mode,
                          bool conditional) {
-  static obs::TimerStat* const timer =
-      obs::MetricRegistry::Get().Timer("lock.acquire_ns");
-  obs::ScopedTimer scope(timer);
   auto& c = GlobalCounters::Get();
   c.lock_requests.fetch_add(1, std::memory_order_relaxed);
   Shard& shard = ShardFor(key);
@@ -143,9 +139,6 @@ Status LockManager::Lock(TxnId owner, LockKey key, LockMode mode,
 
 Status LockManager::LockInstant(TxnId owner, LockKey key, LockMode mode,
                                 bool conditional) {
-  static obs::TimerStat* const timer =
-      obs::MetricRegistry::Get().Timer("lock.acquire_ns");
-  obs::ScopedTimer scope(timer);
   auto& c = GlobalCounters::Get();
   c.lock_requests.fetch_add(1, std::memory_order_relaxed);
   Shard& shard = ShardFor(key);

@@ -1,7 +1,6 @@
 #include "txn/transaction_manager.h"
 
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "obs/waitstate.h"
 #include "testing/crash_point.h"
 #include "util/logging.h"
@@ -33,13 +32,7 @@ Status TransactionManager::Commit(Transaction* txn) {
     commit.type = LogType::kCommitTxn;
     OIR_CRASH_POINT("txn.commit.pre_flush");
     Lsn lsn = log_->Append(&commit, txn->ctx());
-    {
-      // Commit-ack latency: append of the commit record to durable wake-up.
-      static obs::TimerStat* const ack_timer =
-          obs::MetricRegistry::Get().Timer("wal.commit_ack_ns");
-      obs::ScopedTimer ack_scope(ack_timer);
-      OIR_RETURN_IF_ERROR(log_->FlushTo(lsn));
-    }
+    OIR_RETURN_IF_ERROR(log_->FlushTo(lsn));
     OIR_CRASH_POINT("txn.commit.flushed");
     ReleaseTrackedLocks(txn);
     LogRecord end;

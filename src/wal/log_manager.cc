@@ -10,7 +10,6 @@
 #include <cstring>
 #include <optional>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/waitstate.h"
 #include "testing/crash_point.h"
@@ -199,8 +198,8 @@ Status LogManager::Open(const std::string& path, bool truncate,
   LogManager* raw = log.get();
   log->writer_ = std::make_unique<AsyncLogWriter>(
       opts.sync_mode, opts.inflight_segments,
-      [raw](uint64_t seq, Status s) {
-        raw->OnSegmentComplete(seq, std::move(s));
+      [raw](uint64_t seq, Status s, uint64_t io_ns) {
+        raw->OnSegmentComplete(seq, std::move(s), io_ns);
       });
   OIR_RETURN_IF_ERROR(log->writer_->Open(path));
 
@@ -235,9 +234,6 @@ Status LogManager::PersistMasterLocked() {
 // outside mu_; the critical section is just the buffer append.
 Lsn LogManager::AppendEncoded(LogRecord* rec, const std::string& payload) {
   OIR_CRASH_POINT("wal.append.pre");
-  static obs::TimerStat* const timer =
-      obs::MetricRegistry::Get().Timer("wal.append_ns");
-  obs::ScopedTimer scope(timer);
   char frame[8];
   EncodeFixed32(frame, static_cast<uint32_t>(payload.size()));
   EncodeFixed32(frame + 4,
@@ -421,8 +417,9 @@ void LogManager::BuildSegmentLocked(Lsn begin, Lsn end, uint64_t* offset,
   }
 }
 
-void LogManager::OnSegmentComplete(uint64_t seq, Status s) {
+void LogManager::OnSegmentComplete(uint64_t seq, Status s, uint64_t io_ns) {
   MutexLock l(mu_);
+  segment_io_ns_.Add(io_ns);
   for (auto& seg : inflight_) {
     if (seg.seq == seq) {
       seg.done = true;

@@ -34,6 +34,7 @@
 #include "storage/async_io.h"
 #include "storage/buffer_manager.h"  // for LogFlusher
 #include "sync/mutex.h"
+#include "util/histogram.h"
 #include "util/status.h"
 #include "util/types.h"
 #include "wal/log_record.h"
@@ -114,6 +115,9 @@ class LogManager : public LogFlusher {
   uint32_t inflight_segments() const { return wal_opts_.inflight_segments; }
   const char* backend_name() const;
   const char* sync_mode_name() const;
+  // Write+sync wall time of each completed segment (file-backed logs): the
+  // device's share of commit latency; the rest of a commit is software.
+  const Histogram& segment_io_ns() const { return segment_io_ns_; }
 
   // LSN one past the last appended record (exclusive end of log).
   Lsn tail_lsn() const;
@@ -215,7 +219,7 @@ class LogManager : public LogFlusher {
     Status status;
   };
   // AsyncLogWriter completion callback (writer thread).
-  void OnSegmentComplete(uint64_t seq, Status s);
+  void OnSegmentComplete(uint64_t seq, Status s, uint64_t io_ns);
   // Pops completed segments off the front of inflight_, advancing
   // durable_lsn_ (unless fail_flushes_ is set) and publishing errors.
   void CompleteSegmentsLocked() OIR_REQUIRES(mu_);
@@ -282,6 +286,9 @@ class LogManager : public LogFlusher {
   // advance; commits acked under the same seq form one group.
   uint64_t durable_adv_seq_ OIR_GUARDED_BY(mu_) = 0;
   uint64_t last_group_seq_ OIR_GUARDED_BY(mu_) = 0;
+  // Added to under mu_ by OnSegmentComplete; readers rely on the
+  // histogram's own lock.
+  Histogram segment_io_ns_;
 };
 
 }  // namespace oir

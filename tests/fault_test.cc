@@ -368,5 +368,74 @@ TEST(TransientWriteTest, CheckpointRetriesAfterTransientDiskError) {
                                    db->buffer_manager()));
 }
 
+// --------------------------------------- rebuild forced-write failures
+
+// Opens a Db over a FaultInjectingDisk holding `n` committed keys.
+std::unique_ptr<Db> OpenFaultDb(uint64_t n, FaultInjectingDisk** fdisk,
+                                std::set<uint64_t>* ids) {
+  DbOptions opts;
+  opts.buffer_pool_pages = 1 << 12;
+  opts.wrap_disk = [fdisk](std::unique_ptr<Disk> base) {
+    auto wrapped = std::make_unique<FaultInjectingDisk>(std::move(base));
+    *fdisk = wrapped.get();
+    return wrapped;
+  };
+  std::unique_ptr<Db> db;
+  EXPECT_OK(Db::Open(opts, &db));
+  std::vector<uint64_t> keys;
+  for (uint64_t i = 0; i < n; ++i) keys.push_back(i);
+  test::InsertMany(db.get(), keys);
+  ids->insert(keys.begin(), keys.end());
+  return db;
+}
+
+// Runs an online rebuild whose first end-of-transaction forced write meets
+// `failed_writes` failing device writes.
+Status RebuildWithFailingFlush(Db* db, FaultInjectingDisk* fdisk,
+                               uint32_t failed_writes) {
+  auto& reg = CrashPointRegistry::Get();
+  reg.ResetCounts();
+  reg.Arm("rebuild.txn.flush", 0,
+          [fdisk, failed_writes] { fdisk->FailNextWrites(failed_writes); });
+  CrashPointRegistry::SetEnabled(true);
+  RebuildResult res;
+  Status s = db->index()->RebuildOnline(RebuildOptions(), &res);
+  CrashPointRegistry::SetEnabled(false);
+  EXPECT_TRUE(reg.triggered());
+  reg.Disarm();
+  return s;
+}
+
+// The failed write aborts the rebuild transaction instead of leaking it in
+// the active table (a later checkpoint snapshots that table).
+TEST(RebuildFaultTest, FailedForcedWriteAbortsRebuildTransaction) {
+  FaultInjectingDisk* fdisk = nullptr;
+  std::set<uint64_t> ids;
+  auto db = OpenFaultDb(3000, &fdisk, &ids);
+  EXPECT_FALSE(RebuildWithFailingFlush(db.get(), fdisk, 1).ok());
+  EXPECT_EQ(db->txn_manager()->NumActive(), 0u);
+  ASSERT_OK(db->Checkpoint());
+  EXPECT_OK(fault::CheckInvariants(db->tree(), db->space_manager(),
+                                   db->buffer_manager()));
+  test::ExpectTreeContains(db.get(), ids);
+}
+
+// When the abort path's own forced write fails too, the old pages must not
+// be freed (Section 3): the keycopy records redo the new pages from them.
+TEST(RebuildFaultTest, OldPagesKeptWhenAbortFlushFails) {
+  FaultInjectingDisk* fdisk = nullptr;
+  std::set<uint64_t> ids;
+  auto db = OpenFaultDb(3000, &fdisk, &ids);
+  EXPECT_FALSE(RebuildWithFailingFlush(db.get(), fdisk, 1u << 20).ok());
+  fdisk->Restore();
+  EXPECT_EQ(db->txn_manager()->NumActive(), 0u);
+  EXPECT_GT(db->space_manager()->CountInState(PageState::kDeallocated), 0u);
+  RecoveryStats stats;
+  ASSERT_OK(db->CrashAndRecover(&stats));
+  EXPECT_OK(fault::CheckInvariants(db->tree(), db->space_manager(),
+                                   db->buffer_manager()));
+  test::ExpectTreeContains(db.get(), ids);
+}
+
 }  // namespace
 }  // namespace oir

@@ -1,8 +1,9 @@
 // Tests for the crash flight recorder (obs/flight_recorder.h): explicit
 // and async-triggered bundles, provider splicing and token-guarded
-// unregistration, the bounded recent-stats ring, watchdog- and
-// crash-point-driven dumps, a fuzz-ish corpus of bundle states, and a dump
-// racing concurrent writers. Every bundle must satisfy JsonIsValid.
+// unregistration, the per-process cap on triggered bundles, the bounded
+// recent-stats ring, watchdog- and crash-point-driven dumps, a fuzz-ish
+// corpus of bundle states, and a dump racing concurrent writers. Every
+// bundle must satisfy JsonIsValid.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +18,6 @@
 
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/waitstate.h"
 #include "sync/lock_manager.h"
@@ -47,7 +47,6 @@ struct RecorderTestEnv {
     ::setenv("OIR_FLIGHT_DIR", ::testing::TempDir().c_str(), 1);
   }
   ~RecorderTestEnv() {
-    obs::MetricRegistry::SetTimersEnabled(false);
     TraceBuffer::Get().SetEnabled(false);
     TraceBuffer::Get().Clear();
     WaitProfiler::SetEnabled(false);
@@ -66,7 +65,7 @@ TEST(FlightRecorderTest, ExplicitDumpProducesValidBundle) {
   EXPECT_TRUE(JsonIsValid(body)) << body.substr(0, 400);
   EXPECT_NE(body.find("\"reason\":\"explicit_test\""), std::string::npos);
   for (const char* section :
-       {"\"wait_profile\"", "\"metrics\"", "\"trace\"", "\"recent_stats\"",
+       {"\"wait_profile\"", "\"counters\"", "\"trace\"", "\"recent_stats\"",
         "\"pid\"", "\"ts_ns\""}) {
     EXPECT_NE(body.find(section), std::string::npos) << section;
   }
@@ -115,6 +114,28 @@ TEST(FlightRecorderTest, TriggerDumpsAsynchronously) {
   const uint64_t before = fr.dumps_completed();
   fr.Trigger("async_test");
   EXPECT_TRUE(fr.WaitForDumps(before + 1, /*timeout_ms=*/10000));
+}
+
+// Triggered bundles keep only the newest kMaxTriggeredBundles per process;
+// a bundle whose path the caller asked for survives the sweep.
+TEST(FlightRecorderTest, TriggeredBundlesCappedPerProcess) {
+  RecorderTestEnv env;
+  auto& fr = FlightRecorder::Get();
+  std::string asked;
+  ASSERT_TRUE(fr.DumpNow("cap_test_asked", &asked));
+  const size_t cap = FlightRecorder::kMaxTriggeredBundles;
+  const size_t n = cap + 4;
+  std::vector<std::string> paths;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t before = fr.dumps_completed();
+    fr.Trigger("cap_test_" + std::to_string(i));
+    ASSERT_TRUE(fr.WaitForDumps(before + 1, /*timeout_ms=*/10000));
+    paths.push_back(fr.last_dump_path());
+  }
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(std::ifstream(paths[i]).good(), i >= n - cap) << paths[i];
+  }
+  EXPECT_TRUE(std::ifstream(asked).good()) << asked;
 }
 
 TEST(FlightRecorderTest, RecentStatsRingIsBounded) {

@@ -1,19 +1,19 @@
-// Tests for the observability subsystem: JSON writer/validator, metric
-// registry under concurrent writers, trace ring wraparound and disabled-path
-// behaviour, rebuild progress monotonicity racing online writers, the lock
-// watchdog, and the Db stats export surface.
+// Tests for the observability subsystem: JSON writer/validator, trace ring
+// wraparound and disabled-path behaviour, rebuild progress monotonicity
+// racing online writers, the lock watchdog, and the Db stats export
+// surface (per-Db rebuild and recovery reports, live rebuild progress).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <stdexcept>
+#include <cstdlib>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/rebuild.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
 #include "sync/lock_manager.h"
@@ -24,17 +24,15 @@ namespace {
 
 using obs::JsonIsValid;
 using obs::JsonWriter;
-using obs::MetricRegistry;
 using obs::TraceBuffer;
 using obs::TraceEventType;
 using test::MakeDb;
 using test::NumKey;
 
-// Restores the global timer/trace enable flags on scope exit, so a failing
-// test can't leak an enabled hot path into the rest of the suite.
+// Restores the global trace enable flag on scope exit, so a failing test
+// can't leak an enabled hot path into the rest of the suite.
 struct ObsFlagGuard {
   ~ObsFlagGuard() {
-    MetricRegistry::SetTimersEnabled(false);
     TraceBuffer::Get().SetEnabled(false);
     TraceBuffer::Get().Clear();
   }
@@ -81,140 +79,6 @@ TEST(JsonValidatorTest, AcceptsAndRejects) {
   EXPECT_FALSE(JsonIsValid("{\"a\":01}"));
   EXPECT_FALSE(JsonIsValid("\"unterminated"));
   EXPECT_FALSE(JsonIsValid("{} trailing"));
-}
-
-TEST(MetricRegistryTest, SnapshotAndResetUnderConcurrentWriters) {
-  ObsFlagGuard guard;
-  MetricRegistry::SetTimersEnabled(true);
-  auto& reg = MetricRegistry::Get();
-  obs::TimerStat* t = reg.Timer("test.obs.concurrent_ns");
-  t->Reset();
-
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 20000;
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> writers;
-  for (int i = 0; i < kThreads; ++i) {
-    writers.emplace_back([t] {
-      for (int j = 1; j <= kPerThread; ++j) t->Record(j);
-    });
-  }
-  // Snapshot concurrently with the writers: counts must be coherent
-  // (non-decreasing, never above the final total).
-  uint64_t last = 0;
-  while (!stop.load(std::memory_order_relaxed)) {
-    auto snap = reg.TakeSnapshot();
-    for (const auto& ts : snap.timers) {
-      if (ts.name == "test.obs.concurrent_ns") {
-        EXPECT_GE(ts.count, last);
-        EXPECT_LE(ts.count, uint64_t{kThreads} * kPerThread);
-        last = ts.count;
-      }
-    }
-    if (last == uint64_t{kThreads} * kPerThread) break;
-    std::this_thread::yield();
-    static int spins = 0;
-    if (++spins > 1000000) break;
-  }
-  for (auto& th : writers) th.join();
-
-  Histogram h;
-  t->MergeInto(&h);
-  EXPECT_EQ(h.Count(), uint64_t{kThreads} * kPerThread);
-  EXPECT_EQ(h.Min(), 1u);
-  EXPECT_EQ(h.Max(), uint64_t{kPerThread});
-
-  EXPECT_TRUE(JsonIsValid(reg.ToJson())) << reg.ToJson();
-
-  t->Reset();
-  Histogram h2;
-  t->MergeInto(&h2);
-  EXPECT_EQ(h2.Count(), 0u);
-}
-
-TEST(MetricRegistryTest, GlobalCountersAreRegistered) {
-  auto snap = MetricRegistry::Get().TakeSnapshot();
-  size_t fields = 0;
-  GlobalCounters::Get().ForEach(
-      [&fields](const char*, std::atomic<uint64_t>&) { ++fields; });
-  EXPECT_EQ(snap.counters.size(), fields);
-  bool found = false;
-  for (const auto& [name, _] : snap.counters) {
-    if (name == "lock_watchdog_fires") found = true;
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST(MetricRegistryTest, DisabledTimersRecordNothing) {
-  ObsFlagGuard guard;
-  MetricRegistry::SetTimersEnabled(false);
-  auto& reg = MetricRegistry::Get();
-  obs::TimerStat* t = reg.Timer("test.obs.disabled_ns");
-  t->Reset();
-  for (int i = 0; i < 1000; ++i) {
-    obs::ScopedTimer scope(t);
-  }
-  Histogram h;
-  t->MergeInto(&h);
-  EXPECT_EQ(h.Count(), 0u);
-}
-
-TEST(MetricRegistryTest, ScopedTimerRecordsOnceAcrossExitPaths) {
-  ObsFlagGuard guard;
-  MetricRegistry::SetTimersEnabled(true);
-  auto& reg = MetricRegistry::Get();
-  obs::TimerStat* t = reg.Timer("test.obs.exit_paths_ns");
-  t->Reset();
-
-  // Exception unwind: the destructor must record exactly once.
-  try {
-    obs::ScopedTimer scope(t);
-    throw std::runtime_error("boom");
-  } catch (const std::runtime_error&) {
-  }
-  Histogram h1;
-  t->MergeInto(&h1);
-  EXPECT_EQ(h1.Count(), 1u);
-
-  // Explicit Stop() (the longjmp-style early-exit hook) is idempotent and
-  // the destructor must not double-record after it.
-  {
-    obs::ScopedTimer scope(t);
-    scope.Stop();
-    scope.Stop();
-  }
-  Histogram h2;
-  t->MergeInto(&h2);
-  EXPECT_EQ(h2.Count(), 2u);
-
-  // Cancel() suppresses the record entirely.
-  {
-    obs::ScopedTimer scope(t);
-    scope.Cancel();
-  }
-  Histogram h3;
-  t->MergeInto(&h3);
-  EXPECT_EQ(h3.Count(), 2u);
-}
-
-TEST(MetricRegistryTest, GaugesSampledAtSnapshot) {
-  auto& reg = MetricRegistry::Get();
-  std::atomic<uint64_t> v{7};
-  reg.RegisterGauge("test.obs.gauge", [&v] { return v.load(); });
-  auto snap = reg.TakeSnapshot();
-  bool found = false;
-  for (const auto& [name, val] : snap.gauges) {
-    if (name == "test.obs.gauge") {
-      found = true;
-      EXPECT_EQ(val, 7u);
-    }
-  }
-  EXPECT_TRUE(found);
-  reg.UnregisterGauge("test.obs.gauge");
-  auto snap2 = reg.TakeSnapshot();
-  for (const auto& [name, _] : snap2.gauges) {
-    EXPECT_NE(name, "test.obs.gauge");
-  }
 }
 
 TEST(TraceTest, DisabledRecordsNothing) {
@@ -470,8 +334,6 @@ TEST(WatchdogTest, ZeroThresholdDisables) {
 }
 
 TEST(DbStatsTest, DumpStatsJsonIsValidWithAllSections) {
-  ObsFlagGuard guard;
-  obs::MetricRegistry::SetTimersEnabled(true);
   auto db = MakeDb();
   std::vector<uint64_t> ids;
   for (uint64_t i = 0; i < 1500; ++i) ids.push_back(i);
@@ -483,13 +345,15 @@ TEST(DbStatsTest, DumpStatsJsonIsValidWithAllSections) {
   EXPECT_TRUE(JsonIsValid(doc)) << doc.substr(0, 400);
   for (const char* section :
        {"\"counters\"", "\"pool\"", "\"wal\"", "\"lock\"", "\"btree\"",
-        "\"space\"", "\"rebuild\"", "\"recovery\"", "\"timers\""}) {
+        "\"space\"", "\"rebuild_progress\"", "\"rebuild\"", "\"recovery\"",
+        "\"wait_profile\"", "\"segment_io_p99_ns\""}) {
     EXPECT_NE(doc.find(section), std::string::npos) << section;
   }
   // The rebuild report made it through the JSON path with real content.
   EXPECT_NE(doc.find("\"keys_moved\""), std::string::npos);
-  // Timers were enabled during the rebuild, so hot-path scopes recorded.
-  EXPECT_NE(doc.find("rebuild.copy_ns"), std::string::npos);
+  EXPECT_NE(doc.find("\"rebuild_progress\":{\"running\":false,\"done\":true"),
+            std::string::npos)
+      << doc;
 
   StatsReport report;
   ASSERT_OK(db->GetStats(&report));
@@ -499,6 +363,96 @@ TEST(DbStatsTest, DumpStatsJsonIsValidWithAllSections) {
   EXPECT_TRUE(JsonIsValid(report.last_rebuild_json));
 
   EXPECT_FALSE(db->DumpStatsText().empty());
+}
+
+TEST(DbStatsTest, EveryGlobalCounterInStatsJson) {
+  auto db = MakeDb();
+  const std::string doc = db->DumpStatsJson();
+  size_t fields = 0;
+  GlobalCounters::Get().ForEach(
+      [&](const char* name, std::atomic<uint64_t>&) {
+        ++fields;
+        EXPECT_NE(doc.find("\"" + std::string(name) + "\":"), std::string::npos)
+            << name;
+      });
+  EXPECT_GT(fields, 0u);
+}
+
+// Reads the unsigned value of `"key":` at or after `from` in `doc`.
+uint64_t JsonUintAfter(const std::string& doc, const std::string& key,
+                       size_t from) {
+  const std::string k = "\"" + key + "\":";
+  size_t at = doc.find(k, from);
+  if (at == std::string::npos) return ~uint64_t{0};
+  return std::strtoull(doc.c_str() + at + k.size(), nullptr, 10);
+}
+
+// DumpStatsJson taken while a rebuild is parked in its progress callback
+// shows the live tracker; afterwards the same section reports it done.
+TEST(DbStatsTest, RebuildProgressLiveInStatsJson) {
+  auto db = MakeDb();
+  std::vector<uint64_t> ids;
+  for (uint64_t i = 0; i < 3000; ++i) ids.push_back(i);
+  test::InsertMany(db.get(), ids);
+
+  std::promise<void> parked;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  bool once = false;
+  RebuildOptions opts;
+  opts.on_progress = [&](const obs::RebuildProgress& p) {
+    if (once || !p.running || p.leaves_rebuilt == 0) return;
+    once = true;
+    parked.set_value();
+    released.wait();
+  };
+  Status s;
+  RebuildResult res;
+  std::thread rebuild(
+      [&] { s = db->index()->RebuildOnline(opts, &res); });
+  parked.get_future().wait();
+  const std::string live = db->DumpStatsJson();
+  release.set_value();
+  rebuild.join();
+  ASSERT_OK(s);
+
+  EXPECT_TRUE(JsonIsValid(live));
+  const size_t at = live.find("\"rebuild_progress\":{\"running\":true");
+  ASSERT_NE(at, std::string::npos) << live;
+  EXPECT_GT(JsonUintAfter(live, "leaves_rebuilt", at), 0u);
+  EXPECT_GT(JsonUintAfter(live, "leaves_total", at), 0u);
+
+  const std::string after = db->DumpStatsJson();
+  const size_t end = after.find("\"rebuild_progress\":{\"running\":false");
+  ASSERT_NE(end, std::string::npos) << after;
+  EXPECT_EQ(JsonUintAfter(after, "leaves_rebuilt", end), res.old_leaf_pages);
+}
+
+// Rebuild and recovery reports belong to the Db that produced them.
+TEST(DbStatsTest, ReportsArePerDb) {
+  auto a = MakeDb();
+  auto b = MakeDb();
+  std::vector<uint64_t> ids;
+  for (uint64_t i = 0; i < 1500; ++i) ids.push_back(i);
+  test::InsertMany(a.get(), ids);
+  RebuildResult res;
+  ASSERT_OK(a->index()->RebuildOnline(RebuildOptions(), &res));
+  RecoveryStats rstats;
+  ASSERT_OK(a->CrashAndRecover(&rstats));
+
+  const std::string doc_a = a->DumpStatsJson();
+  EXPECT_NE(doc_a.find("\"rebuild\":{\"old_leaf_pages\""), std::string::npos)
+      << doc_a;
+  EXPECT_NE(doc_a.find("\"recovery\":{\"records_scanned\""),
+            std::string::npos)
+      << doc_a;
+  const std::string doc_b = b->DumpStatsJson();
+  EXPECT_NE(doc_b.find("\"rebuild\":{}"), std::string::npos) << doc_b;
+  EXPECT_NE(doc_b.find("\"recovery\":{}"), std::string::npos) << doc_b;
+  StatsReport rb;
+  ASSERT_OK(b->GetStats(&rb));
+  EXPECT_TRUE(rb.last_rebuild_json.empty());
+  EXPECT_TRUE(rb.last_recovery_json.empty());
 }
 
 TEST(DbStatsTest, RecoveryStatsExportedThroughJsonPath) {

@@ -105,6 +105,8 @@ TEST(WalPipelineTest, InterleavedWaitersAcrossSegments) {
   EXPECT_GT(delta.wal_segments_sealed, 4u);
   EXPECT_EQ(delta.wal_segments_sealed, delta.wal_segments_completed);
   EXPECT_EQ(delta.log_commits_acked, uint64_t{kThreads} * kPer);
+  // Every completed segment's write+sync time is in the device histogram.
+  EXPECT_EQ(log->segment_io_ns().Count(), delta.wal_segments_completed);
 
   // Restart: every acknowledged record must still parse from the file.
   log.reset();

@@ -166,17 +166,17 @@ def render(cur, prev, dt, path, use_color):
     )
 
     # --- rebuild --------------------------------------------------------
-    g = cur.get("gauges", {})
-    if g.get("rebuild.active", 0):
-        done = g.get("rebuild.leaves_rebuilt", 0)
-        tot = g.get("rebuild.leaves_total", 0)
+    g = cur.get("rebuild_progress", {})
+    if g.get("running"):
+        done = g.get("leaves_rebuilt", 0)
+        tot = g.get("leaves_total", 0)
         pct = 100.0 * done / tot if tot else 0.0
         width = 24
         fill = round(width * pct / 100.0)
         bar = colored("#" * fill, "32", use_color) + "." * (width - fill)
         lines.append(
             f"rebuild: [{bar}] {pct:5.1f}%  {done}/{tot} leaves  "
-            f"top actions {g.get('rebuild.top_actions', 0)}"
+            f"top actions {g.get('top_actions', 0)}"
         )
     else:
         rb = cur.get("rebuild", {})
