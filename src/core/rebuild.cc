@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 
 #include "core/rebuild_throttle.h"
 #include "obs/json.h"
@@ -68,6 +69,11 @@ struct OnlineRebuilder::Impl {
   // reconstructs targets from the source pages.
   std::vector<PageId> flush_pages_txn;
   std::vector<PageId> old_pages_txn;
+
+  // Page images of the current top action's batch, one page-sized slot per
+  // source page; reused across top actions so the copy phase allocates
+  // nothing per row.
+  std::vector<char> images;
 
   uint32_t page_size() const { return bm->page_size(); }
   uint32_t LeafCapacityBytes() const {
@@ -689,39 +695,38 @@ Status OnlineRebuilder::Impl::CopyPhase(OpCtx op, BTree::NtaScope* nta,
                                         bool* have_pp_route) {
   const uint32_t fill_target = FillTargetBytes();
 
-  // Snapshot the source rows. The pages are locked and SHRINK-marked, so
-  // brief S latches give a stable image.
+  // Snapshot the source pages: each is copied whole into its slot of
+  // `images` under a brief S latch. The pages are X-locked and SPLIT-marked,
+  // so writers stay out and the image is stable. Planning, separators and
+  // the keycopy apply all read rows as Slices into these images.
   struct Source {
     PageId page;
     Lsn ts;
-    std::vector<std::string> rows;
-    std::string first_key;
+    SlottedPage rows;  // view of the page image
+    uint16_t n;        // rows.nslots()
+    Slice first_key() const { return n > 0 ? rows.Get(0) : Slice(); }
   };
   std::vector<Source> sources;
   sources.reserve(batch.size());
+  images.resize(batch.size() * page_size());
 
   for (PageId p : batch) {
     PageRef ref;
     OIR_RETURN_IF_ERROR(bm->Fetch(p, &ref));
+    char* image = images.data() + sources.size() * page_size();
     ref.latch().LockS();
-    SlottedPage sp(ref.data(), page_size());
-    Source src;
-    src.page = p;
-    src.ts = ref.header()->page_lsn;
-    src.rows.reserve(sp.nslots());
-    for (SlotId i = 0; i < sp.nslots(); ++i) {
-      src.rows.push_back(sp.Get(i).ToString());
-    }
-    if (!src.rows.empty()) src.first_key = src.rows.front();
+    std::memcpy(image, ref.data(), page_size());
     ref.latch().UnlockS();
-    sources.push_back(std::move(src));
+    SlottedPage sp(image, page_size());
+    sources.push_back(Source{p, sp.header()->page_lsn, sp, sp.nslots()});
   }
   OIR_CRASH_POINT("rebuild.copy.sources_read");
 
   // PP's available budget under the fill target, and its last key (for
-  // separator compression).
+  // separator compression). PP is live, so its keys are copied out.
   uint32_t pp_budget = 0;
-  std::string prev_last_key;  // last key physically before the copy point
+  std::string pp_last_key;
+  Slice prev_last_key;  // last key physically before the copy point
   if (pp_id != kInvalidPageId) {
     PageRef ref;
     OIR_RETURN_IF_ERROR(bm->Fetch(pp_id, &ref));
@@ -733,7 +738,8 @@ Status OnlineRebuilder::Impl::CopyPhase(OpCtx op, BTree::NtaScope* nta,
       pp_budget = std::min(fill_target - used, freeb);
     }
     if (sp.nslots() > 0) {
-      prev_last_key = sp.Get(static_cast<SlotId>(sp.nslots() - 1)).ToString();
+      pp_last_key = sp.Get(static_cast<SlotId>(sp.nslots() - 1)).ToString();
+      prev_last_key = Slice(pp_last_key);
       *pp_route_key = sp.Get(0).ToString();
       *have_pp_route = true;
     }
@@ -750,39 +756,39 @@ Status OnlineRebuilder::Impl::CopyPhase(OpCtx op, BTree::NtaScope* nta,
   // Per new page: accumulated bytes; opener source index.
   std::vector<uint32_t> new_used;
   std::vector<size_t> opener;            // source index that opened the page
-  std::vector<std::string> first_keys;   // first row per new page
-  std::vector<std::string> last_keys;    // last row per new page
+  std::vector<Slice> first_keys;         // first row per new page
+  std::vector<Slice> last_keys;          // last row per new page
   std::vector<SlotId> new_counts;
   uint32_t pp_used_extra = 0;
   SlotId pp_slot = 0;  // relative slot counter; absolute base added later
   uint64_t keys_total = 0;
 
   for (size_t si = 0; si < sources.size(); ++si) {
-    placements[si].resize(sources[si].rows.size());
-    for (size_t ri = 0; ri < sources[si].rows.size(); ++ri) {
-      const uint32_t need =
-          static_cast<uint32_t>(sources[si].rows[ri].size()) + kSlotSize;
+    placements[si].resize(sources[si].n);
+    for (SlotId ri = 0; ri < sources[si].n; ++ri) {
+      const Slice row = sources[si].rows.Get(ri);
+      const uint32_t need = static_cast<uint32_t>(row.size()) + kSlotSize;
       ++keys_total;
       if (new_used.empty() && pp_used_extra + need <= pp_budget) {
         placements[si][ri] = Placement{-1, pp_slot++};
         pp_used_extra += need;
         // PP's last key advances as it absorbs rows; the separator of the
         // first new page must compress against the *post-copy* last key.
-        prev_last_key = sources[si].rows[ri];
+        prev_last_key = row;
         continue;
       }
       if (new_used.empty() || new_used.back() + need > fill_target) {
         new_used.push_back(0);
         opener.push_back(si);
-        first_keys.push_back(sources[si].rows[ri]);
-        last_keys.push_back(std::string());
+        first_keys.push_back(row);
+        last_keys.push_back(Slice());
         new_counts.push_back(0);
       }
       placements[si][ri] =
           Placement{static_cast<int>(new_used.size() - 1), new_counts.back()};
       ++new_counts.back();
       new_used.back() += need;
-      last_keys.back() = sources[si].rows[ri];
+      last_keys.back() = row;
     }
   }
   const uint32_t k = static_cast<uint32_t>(new_used.size());
@@ -839,10 +845,10 @@ Status OnlineRebuilder::Impl::CopyPhase(OpCtx op, BTree::NtaScope* nta,
     rec.type = LogType::kKeyCopy;
     for (size_t si = 0; si < sources.size(); ++si) {
       size_t ri = 0;
-      while (ri < sources[si].rows.size()) {
+      while (ri < sources[si].n) {
         // Maximal run of rows from this source going to one target.
         size_t rj = ri + 1;
-        while (rj < sources[si].rows.size() &&
+        while (rj < sources[si].n &&
                placements[si][rj].target == placements[si][ri].target) {
           ++rj;
         }
@@ -860,34 +866,29 @@ Status OnlineRebuilder::Impl::CopyPhase(OpCtx op, BTree::NtaScope* nta,
     if (!rec.copies.empty()) {
       Lsn lsn = log->Append(&rec, op.ctx);
       OIR_CRASH_POINT("rebuild.copy.keycopy_logged");
-      // Apply to each target under its X latch.
-      for (size_t si = 0; si < sources.size(); ++si) {
-        size_t ri = 0;
-        while (ri < sources[si].rows.size()) {
-          int t = placements[si][ri].target;
-          PageRef ref;
-          OIR_RETURN_IF_ERROR(bm->Fetch(target_page(t), &ref));
-          ref.latch().LockX();
-          SlottedPage sp(ref.data(), page_size());
-          while (ri < sources[si].rows.size() &&
-                 placements[si][ri].target == t) {
-            OIR_CHECK(sp.InsertAt(target_slot(placements[si][ri]),
-                                  Slice(sources[si].rows[ri])));
-            ++ri;
-          }
-          sp.header()->page_lsn = lsn;
-          ref.latch().UnlockX();
-          ref.MarkDirty();
-        }
+      // Apply each entry to its target under the target's X latch, with
+      // the row mover keycopy redo uses. Entries run in source order.
+      size_t si = 0;
+      for (const KeyCopyEntry& e : rec.copies) {
+        while (sources[si].page != e.src_page) ++si;
+        PageRef ref;
+        OIR_RETURN_IF_ERROR(bm->Fetch(e.tgt_page, &ref));
+        ref.latch().LockX();
+        SlottedPage sp(ref.data(), page_size());
+        OIR_CHECK(sp.InsertRowsFrom(e.tgt_first, sources[si].rows,
+                                    e.src_first, e.src_last));
+        sp.header()->page_lsn = lsn;
+        ref.latch().UnlockX();
+        ref.MarkDirty();
       }
     }
   } else {
     // Ablation: group rows per target page and log their contents.
     std::vector<std::vector<std::string>> per_target(k + 1);
     for (size_t si = 0; si < sources.size(); ++si) {
-      for (size_t ri = 0; ri < sources[si].rows.size(); ++ri) {
+      for (SlotId ri = 0; ri < sources[si].n; ++ri) {
         int t = placements[si][ri].target;
-        per_target[t + 1].push_back(sources[si].rows[ri]);
+        per_target[t + 1].push_back(sources[si].rows.Get(ri).ToString());
       }
     }
     for (size_t t = 0; t < per_target.size(); ++t) {
@@ -944,10 +945,10 @@ Status OnlineRebuilder::Impl::CopyPhase(OpCtx op, BTree::NtaScope* nta,
   for (size_t si = 0; si < sources.size(); ++si) {
     PropEntry base;
     base.sender = sources[si].page;
-    base.route_key = sources[si].first_key.empty()
-                         ? (si > 0 ? sources[si - 1].first_key
-                                   : std::string())
-                         : sources[si].first_key;
+    base.route_key = (sources[si].n == 0 && si > 0
+                          ? sources[si - 1].first_key()
+                          : sources[si].first_key())
+                         .ToString();
     bool first_for_sender = true;
     for (uint32_t j = 0; j < k; ++j) {
       if (opener[j] != si) continue;
@@ -958,15 +959,9 @@ Status OnlineRebuilder::Impl::CopyPhase(OpCtx op, BTree::NtaScope* nta,
       e.child = new_ids[j];
       // Separator between the previous target's last key and this page's
       // first key (suffix compression).
-      const std::string* left = nullptr;
-      if (j == 0) {
-        left = prev_last_key.empty() ? nullptr : &prev_last_key;
-      } else {
-        left = &last_keys[j - 1];
-      }
-      e.sep = (left == nullptr || left->empty())
-                  ? first_keys[j]
-                  : MakeSeparator(Slice(*left), Slice(first_keys[j]));
+      const Slice left = j == 0 ? prev_last_key : last_keys[j - 1];
+      e.sep = left.empty() ? first_keys[j].ToString()
+                           : MakeSeparator(left, first_keys[j]);
       leaf_entries->push_back(std::move(e));
     }
     if (first_for_sender) {
@@ -979,13 +974,14 @@ Status OnlineRebuilder::Impl::CopyPhase(OpCtx op, BTree::NtaScope* nta,
 
   // Advance the rebuild position.
   if (k > 0 && !last_keys.back().empty()) {
-    resume_key = last_keys.back();
+    resume_key.assign(last_keys.back().data(), last_keys.back().size());
     has_resume = true;
   } else {
     // Everything fit into PP: the last copied row is the last row overall.
     for (size_t si = sources.size(); si-- > 0;) {
-      if (!sources[si].rows.empty()) {
-        resume_key = sources[si].rows.back();
+      if (sources[si].n > 0) {
+        const Slice last = sources[si].rows.Get(sources[si].n - 1);
+        resume_key.assign(last.data(), last.size());
         has_resume = true;
         break;
       }
@@ -1202,9 +1198,19 @@ Status OnlineRebuilder::Impl::ApplyGroup(OpCtx op, BTree::NtaScope* nta,
 
   // Did the page's key-range start move (first entry deleted)? Then the
   // next level gets an UPDATE [S, pid] where S is the separator value the
-  // new first row carried (Section 5.3.3).
+  // new first row carried (Section 5.3.3). It is sent first: the next level
+  // lays out its inserts in entry order, so if pid splits below, this
+  // UPDATE must come before the INSERTs of pid's new right siblings.
   const bool range_start_moved = (dcount > 0 && d0 == 0);
-  const std::string new_start_sep = final_rows.front().sep;
+  if (range_start_moved && !is_root) {
+    PropEntry upd;
+    upd.kind = PropEntry::Kind::kUpdate;
+    upd.sender = pid;
+    upd.route_key = group_route;
+    upd.sep = final_rows.front().sep;
+    upd.child = pid;
+    next_level->push_back(std::move(upd));
+  }
 
   // Encode the final rows (first row loses its separator).
   std::vector<std::string> encoded;
@@ -1343,14 +1349,6 @@ Status OnlineRebuilder::Impl::ApplyGroup(OpCtx op, BTree::NtaScope* nta,
     OIR_RETURN_IF_ERROR(tree->SetRoot(op, final_rows[0].child));
     OIR_RETURN_IF_ERROR(space->Deallocate(op.ctx, pid));
     nta->deallocated.push_back(pid);
-  } else if (range_start_moved && !is_root) {
-    PropEntry upd;
-    upd.kind = PropEntry::Kind::kUpdate;
-    upd.sender = pid;
-    upd.route_key = group_route;
-    upd.sep = new_start_sep;
-    upd.child = pid;
-    next_level->push_back(std::move(upd));
   }
 
   if (level == 1) {

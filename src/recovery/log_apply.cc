@@ -6,6 +6,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <vector>
 
 #include "storage/slotted_page.h"
 #include "util/coding.h"
@@ -42,7 +44,10 @@ Lsn PageLsnOf(ApplyContext* ctx, PageId page) {
 
 // Applies the row movements of a kKeyCopy record onto its target pages.
 // Targets whose pageLSN is already >= rec.lsn are skipped (redo test is
-// per target page since one record covers many pages).
+// per target page since one record covers many pages). Each source page is
+// copied once into a page image under a brief S latch (a source's entries
+// are adjacent in the record), and its rows go to the target with the same
+// SlottedPage::InsertRowsFrom the rebuild's own apply uses.
 Status RedoKeyCopy(ApplyContext* ctx, const LogRecord& rec) {
   // Decide per-target whether redo is needed.
   std::map<PageId, bool> need;
@@ -50,31 +55,31 @@ Status RedoKeyCopy(ApplyContext* ctx, const LogRecord& rec) {
     if (need.count(e.tgt_page)) continue;
     need[e.tgt_page] = PageLsnOf(ctx, e.tgt_page) < rec.lsn;
   }
+  const uint32_t page_size = ctx->bm->page_size();
+  std::vector<char> image(page_size);
+  SlottedPage sp(image.data(), page_size);
+  PageId imaged = kInvalidPageId;
   // Apply entries in record order (ascending target positions per target).
   for (const KeyCopyEntry& e : rec.copies) {
     if (!need[e.tgt_page]) continue;
-    PageRef src;
-    OIR_RETURN_IF_ERROR(ctx->bm->Fetch(e.src_page, &src));
-    src.latch().LockS();
-    SlottedPage sp(src.data(), ctx->bm->page_size());
-    if (src.header()->page_lsn != e.src_ts) {
+    if (e.src_page != imaged) {
+      PageRef src;
+      OIR_RETURN_IF_ERROR(ctx->bm->Fetch(e.src_page, &src));
+      src.latch().LockS();
+      if (src.header()->page_lsn != e.src_ts) {
+        src.latch().UnlockS();
+        return Status::Corruption(
+            "keycopy redo: source page timestamp mismatch (flush-before-free "
+            "ordering violated?)");
+      }
+      std::memcpy(image.data(), src.data(), page_size);
       src.latch().UnlockS();
-      return Status::Corruption(
-          "keycopy redo: source page timestamp mismatch (flush-before-free "
-          "ordering violated?)");
+      imaged = e.src_page;
     }
-    std::vector<std::string> rows;
-    rows.reserve(e.src_last - e.src_first + 1);
-    for (SlotId i = e.src_first; i <= e.src_last; ++i) {
-      rows.push_back(sp.Get(i).ToString());
-    }
-    src.latch().UnlockS();
     OIR_RETURN_IF_ERROR(WithPageX(
         ctx, e.tgt_page, /*stamp (temporary)=*/rec.lsn, [&](SlottedPage* tp) {
-          for (size_t j = 0; j < rows.size(); ++j) {
-            OIR_CHECK(tp->InsertAt(static_cast<SlotId>(e.tgt_first + j),
-                                   Slice(rows[j])));
-          }
+          OIR_CHECK(tp->InsertRowsFrom(e.tgt_first, sp, e.src_first,
+                                       e.src_last));
         }));
     // Keep `need` true so later entries for the same target still apply:
     // the stamp above already set page_lsn = rec.lsn, but the decision map

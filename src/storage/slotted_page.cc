@@ -86,6 +86,18 @@ bool SlottedPage::InsertAt(SlotId pos, const Slice& row) {
   return true;
 }
 
+bool SlottedPage::InsertRowsFrom(SlotId pos, const SlottedPage& src,
+                                 SlotId first, SlotId last) {
+  OIR_DCHECK(src.data() != data_ && first <= last && last < src.nslots());
+  uint32_t need = 0;
+  for (SlotId i = first; i <= last; ++i) need += src.SlotLength(i) + kSlotSize;
+  if (FreeSpace() < need) return false;
+  for (SlotId i = first; i <= last; ++i) {
+    OIR_CHECK(InsertAt(static_cast<SlotId>(pos + (i - first)), src.Get(i)));
+  }
+  return true;
+}
+
 void SlottedPage::DeleteAt(SlotId pos) {
   PageHeader* h = header();
   OIR_DCHECK(pos < h->nslots);
@@ -140,14 +152,19 @@ bool SlottedPage::ReplaceAt(SlotId pos, const Slice& row) {
 
 void SlottedPage::Compact() {
   PageHeader* h = header();
-  std::vector<std::string> rows;
-  rows.reserve(h->nslots);
-  for (SlotId i = 0; i < h->nslots; ++i) rows.push_back(Get(i).ToString());
+  // Rows are rewritten in slot order, which need not be their physical
+  // order, so read them from a copy of the row area.
+  thread_local std::vector<char> scratch;
+  const uint32_t area = h->free_ptr - kPageHeaderSize;
+  if (scratch.size() < page_size_) scratch.resize(page_size_);
+  std::memcpy(scratch.data(), data_ + kPageHeaderSize, area);
   uint16_t fp = static_cast<uint16_t>(kPageHeaderSize);
   for (SlotId i = 0; i < h->nslots; ++i) {
-    std::memcpy(data_ + fp, rows[i].data(), rows[i].size());
-    SetSlot(i, fp, static_cast<uint16_t>(rows[i].size()));
-    fp = static_cast<uint16_t>(fp + rows[i].size());
+    const uint16_t len = SlotLength(i);
+    std::memcpy(data_ + fp, scratch.data() + (SlotOffset(i) - kPageHeaderSize),
+                len);
+    SetSlot(i, fp, len);
+    fp = static_cast<uint16_t>(fp + len);
   }
   h->free_ptr = fp;
   h->garbage = 0;

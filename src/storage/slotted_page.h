@@ -40,6 +40,13 @@ class SlottedPage {
   // after compaction.
   bool InsertAt(SlotId pos, const Slice& row);
 
+  // Inserts rows [first, last] of `src`, another page, so that they become
+  // slots pos, pos + 1, ... in order. Returns false, leaving this page
+  // unchanged, if they do not fit even after compaction. The keycopy apply
+  // at rebuild time and its redo both move rows with this call.
+  bool InsertRowsFrom(SlotId pos, const SlottedPage& src, SlotId first,
+                      SlotId last);
+
   // Removes slot `pos`; slots above shift down by one. Row bytes become
   // garbage until the next compaction.
   void DeleteAt(SlotId pos);
@@ -63,7 +70,9 @@ class SlottedPage {
     return FreeSpace() >= row_size + kSlotSize;
   }
 
-  // Rewrites the row area to squeeze out garbage.
+  // Rewrites the row area to squeeze out garbage: live rows are laid out
+  // in slot order from a copy of the row area in a per-thread scratch
+  // buffer, so compaction allocates nothing per row.
   void Compact();
 
   // Verifies internal consistency (slot bounds, free pointer, garbage

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -33,11 +34,15 @@ using obs::JsonIsValid;
 using obs::TraceBuffer;
 using obs::WaitProfiler;
 
-std::string ReadFileOrDie(const std::string& path) {
+// Reads a bundle and deletes its file: the assertions work on the returned
+// body, so no test leaves its bundles behind in the flight directory.
+std::string TakeBundle(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in.good()) << path;
   std::ostringstream os;
   os << in.rdbuf();
+  in.close();
+  std::remove(path.c_str());
   return os.str();
 }
 
@@ -61,7 +66,7 @@ TEST(FlightRecorderTest, ExplicitDumpProducesValidBundle) {
   auto& fr = FlightRecorder::Get();
   std::string path;
   ASSERT_TRUE(fr.DumpNow("explicit_test", &path));
-  std::string body = ReadFileOrDie(path);
+  std::string body = TakeBundle(path);
   EXPECT_TRUE(JsonIsValid(body)) << body.substr(0, 400);
   EXPECT_NE(body.find("\"reason\":\"explicit_test\""), std::string::npos);
   for (const char* section :
@@ -84,7 +89,7 @@ TEST(FlightRecorderTest, ProvidersSplicedAndInvalidOnesBecomeNull) {
   ASSERT_TRUE(fr.DumpNow("provider_test", &path));
   fr.UnregisterProvider("test_good", good);
   fr.UnregisterProvider("test_bad", bad);
-  std::string body = ReadFileOrDie(path);
+  std::string body = TakeBundle(path);
   EXPECT_TRUE(JsonIsValid(body)) << body.substr(0, 400);
   EXPECT_NE(body.find("\"test_good\":{\"answer\":42}"), std::string::npos);
   EXPECT_NE(body.find("\"test_bad\":null"), std::string::npos);
@@ -101,11 +106,11 @@ TEST(FlightRecorderTest, StaleUnregisterTokenIsANoOp) {
   fr.UnregisterProvider("test_token", old_token);  // stale: must not remove
   std::string path;
   ASSERT_TRUE(fr.DumpNow("token_test", &path));
-  EXPECT_NE(ReadFileOrDie(path).find("\"test_token\":\"new\""),
+  EXPECT_NE(TakeBundle(path).find("\"test_token\":\"new\""),
             std::string::npos);
   fr.UnregisterProvider("test_token", new_token);
   ASSERT_TRUE(fr.DumpNow("token_test_2", &path));
-  EXPECT_EQ(ReadFileOrDie(path).find("\"test_token\""), std::string::npos);
+  EXPECT_EQ(TakeBundle(path).find("\"test_token\""), std::string::npos);
 }
 
 TEST(FlightRecorderTest, TriggerDumpsAsynchronously) {
@@ -114,6 +119,7 @@ TEST(FlightRecorderTest, TriggerDumpsAsynchronously) {
   const uint64_t before = fr.dumps_completed();
   fr.Trigger("async_test");
   EXPECT_TRUE(fr.WaitForDumps(before + 1, /*timeout_ms=*/10000));
+  std::remove(fr.last_dump_path().c_str());
 }
 
 // Triggered bundles keep only the newest kMaxTriggeredBundles per process;
@@ -136,6 +142,8 @@ TEST(FlightRecorderTest, TriggeredBundlesCappedPerProcess) {
     EXPECT_EQ(std::ifstream(paths[i]).good(), i >= n - cap) << paths[i];
   }
   EXPECT_TRUE(std::ifstream(asked).good()) << asked;
+  std::remove(asked.c_str());
+  for (const std::string& p : paths) std::remove(p.c_str());
 }
 
 TEST(FlightRecorderTest, RecentStatsRingIsBounded) {
@@ -146,7 +154,7 @@ TEST(FlightRecorderTest, RecentStatsRingIsBounded) {
   }
   std::string path;
   ASSERT_TRUE(fr.DumpNow("ring_test", &path));
-  std::string body = ReadFileOrDie(path);
+  std::string body = TakeBundle(path);
   EXPECT_TRUE(JsonIsValid(body)) << body.substr(0, 400);
   // Only the newest kMaxRecentStats snapshots survive.
   EXPECT_NE(body.find("\"ring_probe\":19"), std::string::npos);
@@ -181,7 +189,7 @@ TEST(FlightRecorderTest, WatchdogFireProducesBundle) {
   // The watchdog fired with the shard mutex held, so it could only enqueue;
   // the recorder's worker performs the dump.
   ASSERT_TRUE(fr.WaitForDumps(before + 1, /*timeout_ms=*/10000));
-  std::string body = ReadFileOrDie(fr.last_dump_path());
+  std::string body = TakeBundle(fr.last_dump_path());
   EXPECT_TRUE(JsonIsValid(body)) << body.substr(0, 400);
   EXPECT_NE(body.find("lock_watchdog"), std::string::npos);
 }
@@ -201,7 +209,7 @@ TEST(FlightRecorderTest, TrippedCrashPointProducesBundle) {
   fault::CrashPointRegistry::SetEnabled(false);
 
   ASSERT_TRUE(fr.WaitForDumps(before + 1, /*timeout_ms=*/10000));
-  std::string body = ReadFileOrDie(fr.last_dump_path());
+  std::string body = TakeBundle(fr.last_dump_path());
   EXPECT_TRUE(JsonIsValid(body)) << body.substr(0, 400);
   EXPECT_NE(body.find("crash_point:fr.test.trip"), std::string::npos);
 }
@@ -236,7 +244,7 @@ TEST(FlightRecorderTest, BundleCorpusAcrossVariedStates) {
         fr.NoteSnapshot("{\"case\":" + std::to_string(case_no++) + "}");
         std::string path;
         ASSERT_TRUE(fr.DumpNow(reason, &path));
-        std::string body = ReadFileOrDie(path);
+        std::string body = TakeBundle(path);
         EXPECT_TRUE(JsonIsValid(body))
             << "trace=" << trace_on << " prof=" << prof_on << " reason=["
             << reason << "]: " << body.substr(0, 400);
@@ -271,7 +279,7 @@ TEST(FlightRecorderTest, DumpRacesConcurrentWriters) {
   for (int i = 0; i < 10; ++i) {
     std::string path;
     ASSERT_TRUE(fr.DumpNow("race_test", &path));
-    EXPECT_TRUE(JsonIsValid(ReadFileOrDie(path)));
+    EXPECT_TRUE(JsonIsValid(TakeBundle(path)));
   }
   stop.store(true);
   for (auto& th : writers) th.join();

@@ -96,7 +96,6 @@ TEST_P(ModelTest, RandomWorkloadMatchesReference) {
       ropts.fillfactor = 60 + (uint32_t)rnd.Uniform(41);
       ropts.reorganize_level1 = !rnd.OneIn(4);
       ropts.log_full_keys = rnd.OneIn(5);
-      (void)rnd.OneIn(4);  // unused draw: keeps each seed's workload stable
       RebuildResult res;
       Status s = db->index()->RebuildOnline(ropts, &res);
       ASSERT_TRUE(s.ok()) << s.ToString();

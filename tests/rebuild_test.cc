@@ -11,6 +11,7 @@
 #include <set>
 #include <thread>
 
+#include "bench/bench_common.h"
 #include "core/db.h"
 #include "core/index.h"
 #include "obs/waitstate.h"
@@ -347,6 +348,67 @@ TEST(RebuildTest, DeepTreeRebuild) {
   test::ExpectTreeContains(db.get(), EvenIds(12000));
   ExpectInvariants(db.get());
 }
+
+// Expansion: a rebuild at fillfactor < 100 of a packed index makes more
+// leaves than it frees, so level-1 groups are insert-heavy and parents
+// split inside propagation. A split parent whose range start also moved
+// once sent its UPDATE after its new siblings' INSERTs; the next level
+// then laid pid's separator out after theirs ("separator above subtree
+// upper bound"). Each cell rebuilds the Table 1 index packed, then at
+// ff 70, packed again, then at ff 90, and checks Validate, the exact key
+// set and the space/flag invariants after each. Before the fix, the
+// 5k x 40 B and 10k x 12/40 B cells failed, with either level-1 mode.
+struct ExpansionParam {
+  uint64_t keys;
+  int key_size;
+  bool reorganize_level1;
+};
+
+class RebuildExpansionTest : public ::testing::TestWithParam<ExpansionParam> {
+};
+
+TEST_P(RebuildExpansionTest, LowerFillfactorAfterPackedRebuild) {
+  const ExpansionParam p = GetParam();
+  auto db = MakeDb();
+  const std::vector<uint64_t> ids =
+      bench::BuildHalfUtilizedIndex(db.get(), p.keys, p.key_size);
+  for (uint32_t ff : {100u, 70u, 100u, 90u}) {
+    SCOPED_TRACE(::testing::Message() << "fillfactor " << ff);
+    RebuildOptions opts;
+    opts.fillfactor = ff;
+    // The packed rebuild uses the default (Table 1) options; the expanding
+    // one takes the cell's level-1 setting.
+    if (ff < 100) opts.reorganize_level1 = p.reorganize_level1;
+    RebuildResult res;
+    ASSERT_OK(db->index()->RebuildOnline(opts, &res));
+    TreeStats stats;
+    Status s = db->tree()->Validate(&stats);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    ASSERT_EQ(stats.num_keys, ids.size());
+    const auto rows = test::ScanAll(db.get());
+    ASSERT_EQ(rows.size(), ids.size());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      ASSERT_EQ(rows[i].first, bench::BenchKey(ids[i], p.key_size)) << i;
+      ASSERT_EQ(rows[i].second, ids[i]) << i;
+    }
+    ExpectInvariants(db.get());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Table1Shapes, RebuildExpansionTest,
+    ::testing::Values(
+        ExpansionParam{5000, 4, true}, ExpansionParam{5000, 4, false},
+        ExpansionParam{5000, 12, true}, ExpansionParam{5000, 12, false},
+        ExpansionParam{5000, 40, true}, ExpansionParam{5000, 40, false},
+        ExpansionParam{10000, 4, true}, ExpansionParam{10000, 4, false},
+        ExpansionParam{10000, 12, true}, ExpansionParam{10000, 12, false},
+        ExpansionParam{10000, 40, true}, ExpansionParam{10000, 40, false}),
+    [](const ::testing::TestParamInfo<ExpansionParam>& info) {
+      return "Keys" + std::to_string(info.param.keys) + "_Key" +
+             std::to_string(info.param.key_size) + "B_" +
+             (info.param.reorganize_level1 ? "Reorg" : "NoReorg");
+    });
 
 // ------------------------------------------------------ resume + throttle
 

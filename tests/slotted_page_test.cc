@@ -191,5 +191,115 @@ TEST(SlottedPagePropertyTest, RandomOpsMatchReference) {
   }
 }
 
+// Compaction oracle: seeded random InsertAt/DeleteAt/ReplaceAt runs with a
+// Compact after every few operations, on several page sizes, with one row
+// in four zero-length (they share boundary offsets). After each step the
+// rows must match a std::vector<std::string> model and Validate() must
+// hold; after each Compact the garbage must be gone, all free space must be
+// contiguous and the live bytes must be unchanged.
+TEST(SlottedPagePropertyTest, CompactMatchesReference) {
+  const uint64_t base_seed = oir::test::TestSeed(1);
+  for (uint32_t page_size : {512u, 2048u, 8192u}) {
+    for (uint64_t seed = base_seed; seed < base_seed + 4; ++seed) {
+      OIR_SCOPED_SEED_TRACE(seed);
+      SCOPED_TRACE(::testing::Message() << "page_size " << page_size);
+      Random rnd(seed);
+      std::vector<char> buf(page_size, 0);
+      SlottedPage page(buf.data(), page_size);
+      page.Init(1, kLeafLevel);
+      std::vector<std::string> ref;
+      auto random_row = [&] {
+        return rnd.OneIn(4) ? std::string() : rnd.Bytes(rnd.Range(1, 60));
+      };
+      for (int step = 0; step < 3000; ++step) {
+        const int op = static_cast<int>(rnd.Uniform(10));
+        if (op < 4 || ref.empty()) {
+          std::string row = random_row();
+          SlotId pos = static_cast<SlotId>(rnd.Uniform(ref.size() + 1));
+          if (page.InsertAt(pos, Slice(row))) {
+            ref.insert(ref.begin() + pos, row);
+          }
+        } else if (op < 7) {
+          SlotId pos = static_cast<SlotId>(rnd.Uniform(ref.size()));
+          page.DeleteAt(pos);
+          ref.erase(ref.begin() + pos);
+        } else if (op < 9) {
+          SlotId pos = static_cast<SlotId>(rnd.Uniform(ref.size()));
+          std::string row = random_row();
+          if (page.ReplaceAt(pos, Slice(row))) ref[pos] = row;
+        } else {
+          const uint32_t used = page.UsedSpace();
+          const uint32_t free = page.FreeSpace();
+          page.Compact();
+          ASSERT_EQ(page.header()->garbage, 0u) << "step " << step;
+          ASSERT_EQ(page.ContiguousFreeSpace(), free) << "step " << step;
+          ASSERT_EQ(page.UsedSpace(), used) << "step " << step;
+        }
+        ASSERT_TRUE(page.Validate()) << "step " << step;
+        ASSERT_EQ(page.nslots(), ref.size()) << "step " << step;
+        for (size_t i = 0; i < ref.size(); ++i) {
+          ASSERT_EQ(page.Get(static_cast<SlotId>(i)).ToString(), ref[i])
+              << "step " << step << " slot " << i;
+        }
+      }
+    }
+  }
+}
+
+// InsertRowsFrom (the keycopy row mover) against a model: random runs of a
+// source page's rows land at random positions of a target page that has
+// garbage, or are refused with the target left unchanged.
+TEST(SlottedPagePropertyTest, InsertRowsFromMatchesReference) {
+  const uint64_t seed = oir::test::TestSeed(1);
+  OIR_SCOPED_SEED_TRACE(seed);
+  Random rnd(seed);
+  constexpr uint32_t kSize = 1024;
+  std::vector<char> sbuf(kSize, 0);
+  std::vector<char> tbuf(kSize, 0);
+  SlottedPage src(sbuf.data(), kSize);
+  SlottedPage tgt(tbuf.data(), kSize);
+  src.Init(1, kLeafLevel);
+  std::vector<std::string> src_rows;
+  while (true) {
+    std::string row = rnd.OneIn(5) ? std::string() : rnd.Bytes(rnd.Range(1, 30));
+    if (!src.InsertAt(src.nslots(), Slice(row))) break;
+    src_rows.push_back(row);
+  }
+  for (int round = 0; round < 200; ++round) {
+    tgt.Init(2, kLeafLevel);
+    std::vector<std::string> ref;
+    // Leave garbage behind so a copy may need a compaction.
+    for (int i = 0; i < 12; ++i) {
+      std::string row = rnd.Bytes(rnd.Range(0, 40));
+      ASSERT_TRUE(tgt.InsertAt(tgt.nslots(), Slice(row)));
+      ref.push_back(row);
+    }
+    for (int i = 0; i < 6; ++i) {
+      SlotId pos = static_cast<SlotId>(rnd.Uniform(ref.size()));
+      tgt.DeleteAt(pos);
+      ref.erase(ref.begin() + pos);
+    }
+    for (int copy = 0; copy < 4; ++copy) {
+      const SlotId first = static_cast<SlotId>(rnd.Uniform(src_rows.size()));
+      const SlotId last = static_cast<SlotId>(
+          first + rnd.Uniform(src_rows.size() - first));
+      const SlotId pos = static_cast<SlotId>(rnd.Uniform(ref.size() + 1));
+      const std::vector<char> before = tbuf;
+      if (tgt.InsertRowsFrom(pos, src, first, last)) {
+        ref.insert(ref.begin() + pos, src_rows.begin() + first,
+                   src_rows.begin() + last + 1);
+      } else {
+        ASSERT_EQ(tbuf, before) << "round " << round << " copy " << copy;
+      }
+      ASSERT_TRUE(tgt.Validate()) << "round " << round << " copy " << copy;
+      ASSERT_EQ(tgt.nslots(), ref.size());
+      for (size_t i = 0; i < ref.size(); ++i) {
+        ASSERT_EQ(tgt.Get(static_cast<SlotId>(i)).ToString(), ref[i])
+            << "round " << round << " copy " << copy << " slot " << i;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace oir
