@@ -99,6 +99,7 @@ Status BufferManager::AllocateFrameLocked(Shard& sh, PageId for_page,
       size_t idx = sh.free_list.back();
       sh.free_list.pop_back();
       Frame& f = frames_[idx];
+      f.latch.Invalidate();
       f.page_id = for_page;
       f.pin_count = 1;
       f.dirty.store(false, std::memory_order_relaxed);
@@ -172,6 +173,7 @@ Status BufferManager::AllocateFrameLocked(Shard& sh, PageId for_page,
       }
     }
     sh.table.erase(old_id);
+    vf.latch.Invalidate();
     vf.page_id = for_page;
     vf.pin_count = 1;
     vf.dirty.store(false, std::memory_order_relaxed);
@@ -284,6 +286,7 @@ Status BufferManager::Create(PageId id, PageRef* out) {
       ++f.pin_count;
       f.ref = true;
       f.dirty.store(false, std::memory_order_relaxed);
+      f.latch.Invalidate();
       std::memset(f.data.get(), 0, page_size_);
       *out = PageRef(this, it->second, id);
       return Status::OK();
@@ -670,6 +673,7 @@ void BufferManager::Discard(PageId id) {
       continue;
     }
     f.dirty.store(false, std::memory_order_relaxed);
+    f.latch.Invalidate();
     f.page_id = kInvalidPageId;
     sh.free_list.push_back(it->second);
     sh.table.erase(it);
@@ -687,6 +691,7 @@ void BufferManager::DropAll() {
       Frame& f = frames_[frame];
       OIR_CHECK(f.pin_count == 0 && !f.loading);
       f.dirty.store(false, std::memory_order_relaxed);
+      f.latch.Invalidate();
       f.page_id = kInvalidPageId;
       sh.free_list.push_back(frame);
     }

@@ -5,7 +5,10 @@
 // clock eviction, dirty tracking, and the write-ahead-logging constraint
 // (the log is flushed up to a page's pageLSN before the page is written
 // back). Page latches live in the frames; a page can only be latched while
-// pinned, so a latch holder always has a stable frame.
+// pinned, so a latch holder always has a stable frame. Each latch carries a
+// version word (sync/latch.h): the pool invalidates it wherever it remaps a
+// frame or rewrites the frame's bytes without the X latch, so an unchanged
+// version proves a frame still holds the bytes a reader copied.
 //
 // The pool is partitioned into N shards (power of two, pages hashed on
 // PageId): each shard owns a slice of the frames and has its own mutex,

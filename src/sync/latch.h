@@ -17,7 +17,23 @@
 // acquire/release methods would bury the clang -Wthread-safety build in
 // unfixable diagnostics; latch discipline is instead enforced by the
 // Section 6.5 ordering rules and verified dynamically by the TSan lane.
+//
+// Version word. Each latch carries a counter that moves whenever the bytes
+// guarded by the latch may stop being what a reader saw: UnlockX bumps it
+// (the X holder may have changed the page), and the buffer manager calls
+// Invalidate when it remaps a frame or rewrites its bytes without the
+// latch. S lock and S unlock never touch it. A reader that copied the page
+// under S and read version() before UnlockS can later prove the page still
+// holds exactly those bytes by seeing the same version(), without latching
+// it again (the range-scan cursor's step, btree/cursor.h).
+//
+// Invariant that makes this sound: every change to a frame's bytes happens
+// either under the frame's X latch, or while the frame is unpinned and
+// being invalidated (fetch miss, eviction, read-ahead, Create's reuse of a
+// stale cached frame, Discard, DropAll).
 
+#include <atomic>
+#include <cstdint>
 #include <shared_mutex>
 
 #include "obs/waitstate.h"
@@ -55,7 +71,13 @@ class Latch {
     }
   }
 
-  void UnlockX() { mu_.unlock(); }
+  void UnlockX() {
+    // Only the X holder writes here, so a plain increment suffices; the
+    // release store orders the page changes before the new version.
+    version_.store(version_.load(std::memory_order_relaxed) + 1,
+                   std::memory_order_release);
+    mu_.unlock();
+  }
 
   bool TryLockS() {
     GlobalCounters::Get().latch_acquires.fetch_add(1,
@@ -85,8 +107,15 @@ class Latch {
     }
   }
 
+  uint64_t version() const { return version_.load(std::memory_order_acquire); }
+
+  // Moves the version without the latch: the guarded bytes are about to be
+  // replaced by someone who does not hold X (see the invariant above).
+  void Invalidate() { version_.fetch_add(1, std::memory_order_acq_rel); }
+
  private:
   std::shared_mutex mu_;
+  std::atomic<uint64_t> version_{0};
 };
 
 }  // namespace oir

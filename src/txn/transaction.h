@@ -17,6 +17,8 @@
 
 namespace oir {
 
+class TransactionManager;
+
 enum class TxnState : uint8_t {
   kActive = 0,
   kCommitted = 1,
@@ -25,19 +27,26 @@ enum class TxnState : uint8_t {
 
 class Transaction {
  public:
-  explicit Transaction(TxnId id) { ctx_.txn_id = id; }
+  Transaction(TxnId id, TransactionManager* owner) : owner_(owner) {
+    ctx_.txn_id = id;
+  }
+  // A transaction destroyed while still active (an error or a crash point
+  // unwound its owner before Commit/Abort) leaves the owner's active table;
+  // the owner keeps what a checkpoint needs of it (see
+  // TransactionManager::Forget), so recovery still finds it a loser.
+  ~Transaction();
 
   Transaction(const Transaction&) = delete;
   Transaction& operator=(const Transaction&) = delete;
 
   TxnId id() const { return ctx_.txn_id; }
   TxnContext* ctx() { return &ctx_; }
-  Lsn last_lsn() const { return ctx_.last_lsn; }
+  Lsn last_lsn() const { return LoadLsn(ctx_.last_lsn); }
 
   // LSN of the transaction's begin record: the log may not be truncated
   // past the oldest active transaction's begin (its undo chain must stay
   // readable). kInvalidLsn until the first record is logged (lazy begin).
-  Lsn begin_lsn() const { return ctx_.begin_lsn; }
+  Lsn begin_lsn() const { return LoadLsn(ctx_.begin_lsn); }
 
   TxnState state() const { return state_; }
   void set_state(TxnState s) { state_ = s; }
@@ -48,6 +57,7 @@ class Transaction {
   void clear_tracked_locks() { txn_locks_.clear(); }
 
  private:
+  TransactionManager* const owner_;
   TxnContext ctx_;
   TxnState state_ = TxnState::kActive;
   std::vector<LockKey> txn_locks_;

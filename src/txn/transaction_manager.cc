@@ -7,13 +7,17 @@
 
 namespace oir {
 
+Transaction::~Transaction() {
+  if (state_ == TxnState::kActive) owner_->Forget(this);
+}
+
 TransactionManager::TransactionManager(LogManager* log, LockManager* locks,
                                        BufferManager* bm, SpaceManager* space)
     : log_(log), locks_(locks), bm_(bm), space_(space) {}
 
 std::unique_ptr<Transaction> TransactionManager::Begin() {
   TxnId id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
-  auto txn = std::make_unique<Transaction>(id);
+  auto txn = std::make_unique<Transaction>(id, this);
   // The begin record is written lazily by LogManager::Append just before
   // the transaction's first real record; a read-only transaction never
   // touches the log.
@@ -97,9 +101,18 @@ void TransactionManager::ReleaseTrackedLocks(Transaction* txn) {
   txn->clear_tracked_locks();
 }
 
+void TransactionManager::Forget(const Transaction* txn) {
+  MutexLock l(mu_);
+  auto it = active_.find(txn->id());
+  if (it == active_.end() || it->second != txn) return;  // crash forgot it
+  active_.erase(it);
+  orphans_[txn->id()] = Orphan{txn->last_lsn(), txn->begin_lsn()};
+}
+
 void TransactionManager::ResetAfterCrash(TxnId next_id) {
   MutexLock l(mu_);
   active_.clear();
+  orphans_.clear();
   TxnId cur = next_txn_id_.load(std::memory_order_relaxed);
   if (next_id > cur) next_txn_id_.store(next_id, std::memory_order_relaxed);
 }
@@ -109,15 +122,19 @@ void TransactionManager::SnapshotActive(std::vector<CheckpointTxn>* out,
   MutexLock l(mu_);
   out->clear();
   *oldest_begin = kInvalidLsn;
-  for (const auto& [id, txn] : active_) {
+  auto add = [&](TxnId id, Lsn last_lsn, Lsn begin_lsn) {
     // A transaction that has not logged anything yet (lazy begin) needs no
     // recovery work and does not pin the log.
-    if (txn->last_lsn() == kInvalidLsn) continue;
-    out->push_back(CheckpointTxn{id, txn->last_lsn()});
-    if (*oldest_begin == kInvalidLsn || txn->begin_lsn() < *oldest_begin) {
-      *oldest_begin = txn->begin_lsn();
+    if (last_lsn == kInvalidLsn) return;
+    out->push_back(CheckpointTxn{id, last_lsn});
+    if (*oldest_begin == kInvalidLsn || begin_lsn < *oldest_begin) {
+      *oldest_begin = begin_lsn;
     }
+  };
+  for (const auto& [id, txn] : active_) {
+    add(id, txn->last_lsn(), txn->begin_lsn());
   }
+  for (const auto& [id, o] : orphans_) add(id, o.last_lsn, o.begin_lsn);
 }
 
 std::string TransactionManager::DumpActiveTxnsJson() const {
@@ -132,6 +149,13 @@ std::string TransactionManager::DumpActiveTxnsJson() const {
       w.Key("last_lsn").Value(static_cast<uint64_t>(txn->last_lsn()));
       w.EndObject();
     }
+    for (const auto& [id, o] : orphans_) {
+      w.BeginObject();
+      w.Key("txn").Value(static_cast<uint64_t>(id));
+      w.Key("last_lsn").Value(static_cast<uint64_t>(o.last_lsn));
+      w.Key("orphaned").Value(true);
+      w.EndObject();
+    }
   }
   w.EndArray();
   w.EndObject();
@@ -140,7 +164,7 @@ std::string TransactionManager::DumpActiveTxnsJson() const {
 
 size_t TransactionManager::NumActive() const {
   MutexLock l(mu_);
-  return active_.size();
+  return active_.size() + orphans_.size();
 }
 
 }  // namespace oir

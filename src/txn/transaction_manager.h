@@ -53,7 +53,15 @@ class TransactionManager {
   // counter past every id seen in the recovered log.
   void ResetAfterCrash(TxnId next_id);
 
+  // Called by ~Transaction for a transaction that is still active: drops
+  // the pointer from the active table and keeps the transaction's last and
+  // begin LSNs as an orphan. Orphans stay in checkpoints and the log
+  // truncation horizon (nothing rolled them back, so recovery must find
+  // them losers) and in the diagnostic dump, until ResetAfterCrash.
+  void Forget(const Transaction* txn);
+
   LockManager* lock_manager() { return locks_; }
+  // Active transactions, orphans included.
   size_t NumActive() const;
 
   // Snapshot of the active transactions (for fuzzy checkpoints): their
@@ -81,9 +89,16 @@ class TransactionManager {
 
   std::atomic<TxnId> next_txn_id_{1};
   mutable Mutex mu_;
-  // Active transactions. The Transaction object is owned by the caller and
-  // must outlive its activity (guaranteed by Commit/Abort removing it).
+  // Active transactions. The Transaction object is owned by the caller;
+  // Commit, Abort or its destructor (Forget) removes it, so the table
+  // never holds a freed one.
   std::map<TxnId, Transaction*> active_ OIR_GUARDED_BY(mu_);
+  // Transactions destroyed while active: id -> {last_lsn, begin_lsn}.
+  struct Orphan {
+    Lsn last_lsn;
+    Lsn begin_lsn;
+  };
+  std::map<TxnId, Orphan> orphans_ OIR_GUARDED_BY(mu_);
 };
 
 }  // namespace oir

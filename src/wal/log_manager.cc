@@ -266,16 +266,17 @@ Lsn LogManager::Append(LogRecord* rec, TxnContext* ctx) {
     begin.prev_lsn = kInvalidLsn;
     std::string bp;
     begin.EncodeTo(&bp);
-    ctx->last_lsn = AppendEncoded(&begin, bp);
-    ctx->begin_lsn = ctx->last_lsn;
+    const Lsn begin_lsn = AppendEncoded(&begin, bp);
+    StoreLsn(&ctx->last_lsn, begin_lsn);
+    StoreLsn(&ctx->begin_lsn, begin_lsn);
   }
   rec->txn_id = ctx->txn_id;
   rec->prev_lsn = ctx->last_lsn;
   std::string payload;
   rec->EncodeTo(&payload);
   Lsn lsn = AppendEncoded(rec, payload);
-  ctx->last_lsn = lsn;
-  if (ctx->begin_lsn == kInvalidLsn) ctx->begin_lsn = lsn;
+  StoreLsn(&ctx->last_lsn, lsn);
+  if (ctx->begin_lsn == kInvalidLsn) StoreLsn(&ctx->begin_lsn, lsn);
   OIR_CRASH_POINT("wal.append.post");
   return lsn;
 }

@@ -54,6 +54,17 @@ struct TxnContext {
   Lsn begin_lsn = kInvalidLsn;
 };
 
+// Relaxed atomic access to a TxnContext's LSN fields. The owning thread
+// writes them (LogManager::Append); checkpoints and the flight recorder
+// read them from other threads through TransactionManager's active table.
+inline Lsn LoadLsn(const Lsn& field) {
+  return std::atomic_ref<Lsn>(const_cast<Lsn&>(field))
+      .load(std::memory_order_relaxed);
+}
+inline void StoreLsn(Lsn* field, Lsn value) {
+  std::atomic_ref<Lsn>(*field).store(value, std::memory_order_relaxed);
+}
+
 // Durable-path tuning. Fixed at construction/Open.
 struct WalOptions {
   // Maximum bytes per sealed segment. Smaller segments cut commit-ack

@@ -99,6 +99,31 @@ TEST(CheckpointTest, ActiveTxnWithAllRecordsBeforeCheckpoint) {
   test::ExpectTreeContains(db.get(), {1, 2});
 }
 
+// A transaction destroyed while still active (an error unwound its owner
+// before Commit or Abort) leaves the active table as an orphan: the
+// diagnostic dump never reads the freed object, and a later checkpoint
+// still lists it, so recovery rolls it back.
+TEST(CheckpointTest, DestroyedActiveTxnStaysALoser) {
+  auto db = MakeDb();
+  test::InsertMany(db.get(), {1});
+  {
+    auto loser = db->BeginTxn();
+    ASSERT_OK(db->index()->Insert(loser.get(), NumKey(55), 55));
+  }
+  EXPECT_EQ(db->txn_manager()->NumActive(), 1u);
+  EXPECT_NE(db->txn_manager()->DumpActiveTxnsJson().find("orphaned"),
+            std::string::npos);
+  ASSERT_OK(db->Checkpoint());
+  test::InsertMany(db.get(), {2});
+  ASSERT_OK(db->log_manager()->FlushAll());
+
+  RecoveryStats stats;
+  ASSERT_OK(db->CrashAndRecover(&stats));
+  EXPECT_EQ(stats.loser_txns, 1u);
+  EXPECT_EQ(db->txn_manager()->NumActive(), 0u);
+  test::ExpectTreeContains(db.get(), {1, 2});
+}
+
 TEST(CheckpointTest, UndurableCheckpointDoesNotSurviveCrash) {
   auto db = MakeDb();
   test::InsertMany(db.get(), {1, 2, 3});

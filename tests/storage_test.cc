@@ -11,6 +11,7 @@
 #include "storage/buffer_manager.h"
 #include "storage/disk.h"
 #include "storage/slotted_page.h"
+#include "sync/latch.h"
 #include "tests/test_util.h"
 #include "util/counters.h"
 #include "wal/log_manager.h"
@@ -263,6 +264,96 @@ TEST_F(BufferManagerTest, ConcurrentDistinctPagesWithEviction) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(errors.load(), 0);
+}
+
+// The latch's version word moves on every X release and never on S.
+TEST(LatchVersionTest, MovesOnUnlockXAndInvalidateNotOnS) {
+  Latch l;
+  const uint64_t v0 = l.version();
+  l.LockS();
+  l.UnlockS();
+  ASSERT_TRUE(l.TryLockS());
+  l.UnlockS();
+  EXPECT_EQ(l.version(), v0);
+  l.LockX();
+  EXPECT_EQ(l.version(), v0);  // the holder's changes publish at UnlockX
+  l.UnlockX();
+  const uint64_t v1 = l.version();
+  EXPECT_NE(v1, v0);
+  ASSERT_TRUE(l.TryLockX());
+  l.UnlockX();
+  EXPECT_NE(l.version(), v1);
+  const uint64_t v2 = l.version();
+  l.Invalidate();
+  EXPECT_NE(l.version(), v2);
+}
+
+// Records a cached page's frame latch and its version. Frames outlive
+// their pages, so the latch stays readable after the page leaves.
+struct FrameVersion {
+  const Latch* latch;
+  uint64_t version;
+  bool moved() const { return latch->version() != version; }
+};
+
+FrameVersion VersionOf(BufferManager* bm, PageId id) {
+  PageRef ref;
+  Status s = bm->Fetch(id, &ref);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  ref.latch().LockS();
+  FrameVersion fv{&ref.latch(), ref.latch().version()};
+  ref.latch().UnlockS();
+  return fv;
+}
+
+// The frame's version moves whenever the frame stops holding the bytes a
+// reader saw, including every path that rewrites them without the X latch.
+TEST_F(BufferManagerTest, FrameVersionMovesWhenFrameStopsHoldingPage) {
+  for (PageId p = 1; p <= 40; ++p) WritePattern(p, 'v');
+  ASSERT_OK(bm_.FlushAll());
+
+  // S latching (a reader) leaves it alone.
+  FrameVersion fv = VersionOf(&bm_, 1);
+  EXPECT_EQ(ReadPattern(1), 'v');
+  EXPECT_FALSE(fv.moved());
+
+  // Eviction by fetch misses: the pool has 16 frames and the churn only
+  // reads, so no X latch is ever released on the reused frame.
+  for (PageId p = 2; p <= 40; ++p) ReadPattern(p);
+  EXPECT_TRUE(fv.moved()) << "eviction";
+
+  // Read-ahead reuses every unpinned frame for pages not yet cached.
+  fv = VersionOf(&bm_, 40);
+  ASSERT_OK(bm_.Prefetch(100, 16));
+  EXPECT_TRUE(fv.moved()) << "prefetch";
+
+  // Create over a stale cached copy zero-fills the frame in place.
+  fv = VersionOf(&bm_, 100);
+  {
+    PageRef ref;
+    ASSERT_OK(bm_.Create(100, &ref));
+    EXPECT_EQ(&ref.latch(), fv.latch);  // the same frame, reused
+    EXPECT_TRUE(fv.moved()) << "create";
+  }
+
+  // Discard drops the page without touching the bytes.
+  fv = VersionOf(&bm_, 101);
+  bm_.Discard(101);
+  EXPECT_TRUE(fv.moved()) << "discard";
+
+  // A fetch miss served from the free list (the discarded frame).
+  fv.version = fv.latch->version();
+  {
+    PageRef ref;
+    ASSERT_OK(bm_.Fetch(150, &ref));
+    EXPECT_EQ(&ref.latch(), fv.latch);
+    EXPECT_TRUE(fv.moved()) << "free-list reuse";
+  }
+
+  // DropAll (crash simulation) drops every page.
+  fv = VersionOf(&bm_, 102);
+  bm_.DropAll();
+  EXPECT_TRUE(fv.moved()) << "drop all";
 }
 
 }  // namespace
