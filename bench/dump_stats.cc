@@ -34,7 +34,6 @@ int main(int argc, char** argv) {
   std::unique_ptr<Db> db;
   Check(Db::Open(opts, &db).ok(), "Db::Open");
 
-  obs::TraceBuffer::Get().SetEnabled(true);
   obs::TraceBuffer::Get().Clear();
 
   auto txn = db->BeginTxn();

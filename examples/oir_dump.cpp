@@ -111,7 +111,6 @@ int DumpLog(Db* db, int limit) {
 int MakeDemo(std::string* base) {
   *base = "/tmp/oir_dump_demo";
   DbOptions opts;
-  opts.use_file_disk = true;
   opts.file_path = *base + ".db";
   opts.log_path = *base + ".log";
   std::remove(opts.file_path.c_str());
@@ -153,7 +152,6 @@ int main(int argc, char** argv) {
   }
 
   DbOptions opts;
-  opts.use_file_disk = true;
   opts.file_path = base + ".db";
   opts.log_path = base + ".log";
   std::unique_ptr<Db> db;

@@ -1,8 +1,5 @@
 #include "btree/btree.h"
 
-#include <cstdio>
-#include <cstdlib>
-
 #include "testing/crash_point.h"
 #include "util/coding.h"
 #include "util/counters.h"
@@ -12,11 +9,6 @@ namespace oir {
 
 namespace {
 constexpr int kMaxTraversalRestarts = 1000000;
-
-bool TraceLinks() {
-  static const bool enabled = getenv("OIR_TRACE_LINKS") != nullptr;
-  return enabled;
-}
 }  // namespace
 
 BTree::BTree(BufferManager* bm, LogManager* log, LockManager* locks,
@@ -187,11 +179,6 @@ Lsn BTree::LogBatchDelete(OpCtx op, PageRef* page, SlotId pos, uint16_t count,
 }
 
 Lsn BTree::LogSetNextLink(OpCtx op, PageRef* page, PageId next) {
-  if (TraceLinks()) {
-    std::fprintf(stderr, "[txn %llu] next(%u): %u -> %u\n",
-                 (unsigned long long)op.id, page->id(),
-                 page->header()->next_page, next);
-  }
   LogRecord rec;
   rec.type = LogType::kSetNextLink;
   rec.page_id = page->id();
@@ -206,11 +193,6 @@ Lsn BTree::LogSetNextLink(OpCtx op, PageRef* page, PageId next) {
 }
 
 Lsn BTree::LogSetPrevLink(OpCtx op, PageRef* page, PageId prev) {
-  if (TraceLinks()) {
-    std::fprintf(stderr, "[txn %llu] prev(%u): %u -> %u\n",
-                 (unsigned long long)op.id, page->id(),
-                 page->header()->prev_page, prev);
-  }
   LogRecord rec;
   rec.type = LogType::kSetPrevLink;
   rec.page_id = page->id();
@@ -226,10 +208,6 @@ Lsn BTree::LogSetPrevLink(OpCtx op, PageRef* page, PageId prev) {
 
 Status BTree::FormatNewPage(OpCtx op, PageId id, uint16_t level, PageId prev,
                             PageId next, PageRef* out) {
-  if (TraceLinks()) {
-    std::fprintf(stderr, "[txn %llu] format %u level=%u prev=%u next=%u\n",
-                 (unsigned long long)op.id, id, level, prev, next);
-  }
   OIR_RETURN_IF_ERROR(bm_->Create(id, out));
   out->latch().LockX();
   LogRecord rec;
@@ -299,10 +277,6 @@ Status BTree::EndNta(OpCtx op, NtaScope* nta, Lsn undo_next_override) {
 
 Status BTree::AbortNta(OpCtx op, NtaScope* nta) {
   OIR_CRASH_POINT("btree.nta.abort");
-  if (TraceLinks()) {
-    std::fprintf(stderr, "[txn %llu] AbortNta locked=%zu\n",
-                 (unsigned long long)op.id, nta->locked.size());
-  }
   ApplyContext actx{bm_, space_, log_};
   // Physical undo is safe: the top action still holds its address locks.
   Status s = RollbackTo(&actx, op.ctx, nta->saved_lsn, /*hook=*/nullptr);

@@ -21,6 +21,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "btree/key.h"
@@ -185,6 +186,13 @@ class BTree : public LogicalUndoHook {
   // Root pointer update (kMetaRoot) under meta_mu_.
   Status SetRoot(OpCtx op, PageId new_root);
 
+  // Grows the tree: allocates a root at child_level + 1 holding
+  // [first][sep_1, child_1]...[sep_n, child_n] (`rest` in key order) and
+  // makes it the root.
+  Status NewRoot(OpCtx op, PageId first,
+                 const std::vector<std::pair<std::string, PageId>>& rest,
+                 uint16_t child_level);
+
  private:
   friend class Cursor;
 
@@ -215,10 +223,6 @@ class BTree : public LogicalUndoHook {
   // as needed. `key_hint` routes the traversal.
   Status PropagateDelete(OpCtx op, NtaScope* nta, uint16_t level,
                          const Slice& key_hint, PageId child_dead, Path* path);
-
-  // Creates a new root [left][sep,right] at child_level + 1.
-  Status NewRoot(OpCtx op, NtaScope* nta, PageId left, const Slice& sep,
-                 PageId right, uint16_t child_level);
 
   // Move-right at the leaf level for the boundary race with a completed
   // concurrent split: if `composite` sorts after every row of *leaf and the

@@ -158,7 +158,7 @@ Status BTree::PropagateInsert(OpCtx op, NtaScope* nta, uint16_t level,
     // change the root meanwhile: doing so would require splitting or
     // shrinking cur_split_old, which we hold X-locked with bits set.
     if (root() == cur_split_old) {
-      return NewRoot(op, nta, cur_split_old, Slice(cur_sep), cur_child,
+      return NewRoot(op, cur_split_old, {{cur_sep, cur_child}},
                      static_cast<uint16_t>(cur_level - 1));
     }
 
@@ -255,10 +255,10 @@ Status BTree::PropagateInsert(OpCtx op, NtaScope* nta, uint16_t level,
   }
 }
 
-Status BTree::NewRoot(OpCtx op, NtaScope* nta, PageId left, const Slice& sep,
-                      PageId right, uint16_t child_level) {
+Status BTree::NewRoot(OpCtx op, PageId first,
+                      const std::vector<std::pair<std::string, PageId>>& rest,
+                      uint16_t child_level) {
   OIR_CRASH_POINT("btree.newroot");
-  (void)nta;
   PageId rid;
   OIR_RETURN_IF_ERROR(space_->Allocate(op.ctx, &rid));
   PageRef root_page;
@@ -267,8 +267,10 @@ Status BTree::NewRoot(OpCtx op, NtaScope* nta, PageId left, const Slice& sep,
                                     kInvalidPageId, kInvalidPageId,
                                     &root_page));
   std::vector<std::string> rows;
-  rows.push_back(node::MakeNonLeafRow(left, Slice()));
-  rows.push_back(node::MakeNonLeafRow(right, sep));
+  rows.push_back(node::MakeNonLeafRow(first, Slice()));
+  for (const auto& [sep, child] : rest) {
+    rows.push_back(node::MakeNonLeafRow(child, Slice(sep)));
+  }
   LogBatchInsert(op, &root_page, 0, rows,
                  static_cast<uint16_t>(child_level + 1));
   root_page.latch().UnlockX();

@@ -38,11 +38,17 @@ Db::~Db() {
 
 namespace {
 
+// Pages a fresh database device starts with; file and memory devices both
+// grow on demand.
+constexpr uint32_t kInitialDiskPages = 64;
+
+// Cadence of the live-stats publisher (DbOptions::stats_publish_path).
+constexpr std::chrono::milliseconds kStatsPublishInterval{500};
+
 WalOptions WalOptionsFrom(const DbOptions& options) {
   WalOptions w;
   w.segment_bytes = options.wal_segment_bytes;
   w.inflight_segments = options.wal_inflight_segments;
-  w.group_window_us = options.wal_group_window_us;
   w.sync_mode = options.wal_sync_mode;
   return w;
 }
@@ -51,16 +57,15 @@ WalOptions WalOptionsFrom(const DbOptions& options) {
 
 Status Db::BuildStack(bool truncate_files) {
   const DbOptions& options = options_;
-  if (options.use_file_disk) {
+  if (!options.file_path.empty()) {
     if (truncate_files) std::remove(options.file_path.c_str());
     std::unique_ptr<FileDisk> fd;
     OIR_RETURN_IF_ERROR(
         FileDisk::Open(options.file_path, options.page_size, &fd));
-    OIR_RETURN_IF_ERROR(fd->Extend(options.initial_disk_pages));
+    OIR_RETURN_IF_ERROR(fd->Extend(kInitialDiskPages));
     disk_ = std::move(fd);
   } else {
-    disk_ = std::make_unique<MemDisk>(options.page_size,
-                                      options.initial_disk_pages);
+    disk_ = std::make_unique<MemDisk>(options.page_size, kInitialDiskPages);
   }
   if (options.wrap_disk) {
     disk_ = options.wrap_disk(std::move(disk_));
@@ -124,10 +129,9 @@ Status Db::Open(const DbOptions& options, std::unique_ptr<Db>* out) {
 
 Status Db::OpenExisting(const DbOptions& options, std::unique_ptr<Db>* out,
                         RecoveryStats* stats) {
-  if (!options.use_file_disk || options.file_path.empty() ||
-      options.log_path.empty()) {
+  if (options.file_path.empty() || options.log_path.empty()) {
     return Status::InvalidArgument(
-        "OpenExisting requires use_file_disk, file_path and log_path");
+        "OpenExisting requires file_path and log_path");
   }
   std::unique_ptr<Db> db(new Db(options));
   OIR_RETURN_IF_ERROR(db->BuildStack(/*truncate_files=*/false));
@@ -153,24 +157,24 @@ Status Db::Checkpoint(Lsn* truncation_horizon) {
   // Fuzzy checkpoint. Order matters:
   //  1. capture scan_start = current log tail; recovery will rescan
   //     everything from here, so state changes racing with the snapshot
-  //     below are replayed idempotently;
+  //     below are replayed idempotently. A checkpoint taken mid-rebuild
+  //     embeds the latest progress record appended before scan_start, so
+  //     the resume point survives truncation of the log prefix that held
+  //     the kRebuildProgress records. No rebuild pending => inactive
+  //     defaults;
   //  2. snapshot the page states and the active transactions;
   //  3. append the checkpoint record;
   //  4. flush every dirty page (covers all updates before scan_start);
   //  5. force the log and publish the master record.
-  const Lsn scan_start = log_->tail_lsn();
-
   LogRecord ckpt;
   ckpt.type = LogType::kCheckpoint;
+  const Lsn scan_start =
+      rebuild_journal_.Snapshot(*log_, &ckpt.rebuild_progress);
   ckpt.old_page_lsn = scan_start;  // reused field: recovery scan start
   ckpt.ckpt_allocated = space_->PagesInState(PageState::kAllocated);
   ckpt.ckpt_deallocated = space_->PagesInState(PageState::kDeallocated);
   ckpt.ckpt_end_page = space_->end_page();
   ckpt.ckpt_next_txn_id = txn_mgr_->next_txn_id();
-  // A checkpoint taken mid-rebuild embeds the latest durable progress so
-  // the resume point survives truncation of the log prefix that held the
-  // kRebuildProgress records. No rebuild pending => inactive defaults.
-  (void)rebuild_journal_.Latest(&ckpt.rebuild_progress);
   Lsn oldest_begin = kInvalidLsn;
   txn_mgr_->SnapshotActive(&ckpt.ckpt_txns, &oldest_begin);
   Lsn ckpt_lsn = log_->AppendSystem(&ckpt);
@@ -245,18 +249,13 @@ void Db::AdoptRebuildResume(const RebuildResumeState& resume) {
   }
 }
 
-Status Db::ResumeRebuild(RebuildOptions options, RebuildResult* result) {
+Status Db::ResumeRebuild(const RebuildOptions& options,
+                         RebuildResult* result) {
   if (!pending_rebuild_.pending) {
     return Status::InvalidArgument("no pending rebuild to resume");
   }
-  const RebuildProgressInfo& p = pending_rebuild_.progress;
-  options.resume = true;
-  options.resume_cursor_valid = p.has_cursor;
-  options.resume_cursor = p.cursor;
-  options.resume_leaves_rebuilt = p.leaves_rebuilt;
-  options.resume_top_actions = p.top_actions;
-  options.resume_transactions = p.transactions;
-  OIR_RETURN_IF_ERROR(index_->RebuildOnline(options, result));
+  OIR_RETURN_IF_ERROR(
+      index_->RebuildOnline(options, result, &pending_rebuild_.progress));
   pending_rebuild_ = RebuildResumeState();
   return Status::OK();
 }
@@ -458,18 +457,11 @@ void Db::StartObservability() {
     path = e;
   }
   if (path.empty()) return;
-  uint32_t interval = options_.stats_publish_interval_ms;
-  if (const char* e = std::getenv("OIR_STATS_INTERVAL_MS");
-      e != nullptr && e[0] != '\0') {
-    interval = static_cast<uint32_t>(std::atoi(e));
-  }
-  if (interval == 0) interval = 500;
   {
     MutexLock l(pub_mu_);
     pub_stop_ = false;
   }
-  pub_thread_ = std::thread(
-      [this, path, interval] { StatsPublisherLoop(path, interval); });
+  pub_thread_ = std::thread([this, path] { StatsPublisherLoop(path); });
 }
 
 void Db::StopObservability() {
@@ -490,7 +482,7 @@ void Db::StopObservability() {
   fr_stats_token_ = fr_locks_token_ = fr_txns_token_ = 0;
 }
 
-void Db::StatsPublisherLoop(std::string path, uint32_t interval_ms) {
+void Db::StatsPublisherLoop(std::string path) {
   const std::string tmp = path + ".tmp";
   for (;;) {
     std::string body = DumpStatsJson();
@@ -507,7 +499,7 @@ void Db::StatsPublisherLoop(std::string path, uint32_t interval_ms) {
     MutexLock l(pub_mu_);
     if (pub_stop_) return;
     // wait-state: publisher tick, not an operation wait
-    pub_cv_.WaitFor(pub_mu_, std::chrono::milliseconds(interval_ms));
+    pub_cv_.WaitFor(pub_mu_, kStatsPublishInterval);
     if (pub_stop_) return;
   }
 }

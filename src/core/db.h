@@ -72,7 +72,7 @@ class Db {
   static Status Open(const DbOptions& options, std::unique_ptr<Db>* out);
 
   // Opens a database persisted by a previous process: requires
-  // use_file_disk + file_path + log_path. Runs full restart recovery
+  // file_path + log_path. Runs full restart recovery
   // (redo from the last checkpoint, undo of in-flight transactions) before
   // returning. `stats` may be null.
   static Status OpenExisting(const DbOptions& options,
@@ -113,10 +113,10 @@ class Db {
   }
 
   // Re-runs the crashed rebuild from its last durable cursor. `options`
-  // supplies the knobs (ntasize, throttle, ...); the resume fields are
-  // overwritten from the recovered pending state. InvalidArgument when no
+  // supplies the knobs (ntasize, throttle, ...); the cursor and counters
+  // come from the recovered pending state. InvalidArgument when no
   // rebuild is pending. On success the pending state is cleared.
-  Status ResumeRebuild(RebuildOptions options, RebuildResult* result);
+  Status ResumeRebuild(const RebuildOptions& options, RebuildResult* result);
 
   // Fills `out` with a stats snapshot spanning the buffer pool, WAL, lock
   // manager, B-tree, space map, rebuild, recovery and global counters.
@@ -168,7 +168,7 @@ class Db {
   // Unregisters providers (blocking out any in-flight dump) and joins the
   // publisher. Must run before any component is torn down.
   void StopObservability();
-  void StatsPublisherLoop(std::string path, uint32_t interval_ms);
+  void StatsPublisherLoop(std::string path);
 
   DbOptions options_;
   // Set when OIR_TEST_WAL=file promoted an in-memory WAL to a temp file;

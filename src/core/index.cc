@@ -73,9 +73,10 @@ std::unique_ptr<LockingCursor> Index::NewLockingCursor(Transaction* txn) {
 }
 
 Status Index::RebuildOnline(const RebuildOptions& options,
-                            RebuildResult* result) {
+                            RebuildResult* result,
+                            const RebuildProgressInfo* resume) {
   // No table lock, no logical locks — the whole point of the paper.
-  return rebuilder_.Run(options, result);
+  return rebuilder_.Run(options, result, resume);
 }
 
 Status Index::RebuildOffline(RebuildResult* result) {
@@ -183,12 +184,10 @@ Status Index::RebuildOffline(RebuildResult* result) {
     // Fix separator bookkeeping: the "first key" of a non-leaf page is the
     // separator of its first row, which should bubble up.
     if (s.ok()) {
-      size_t row_idx = 0;
       for (size_t i = 0; i < next_pages.size(); ++i) {
         next_pages[i].first =
             i == 0 ? std::string()
                    : node::SeparatorOf(Slice(next_pages[i].first)).ToString();
-        (void)row_idx;
       }
       // Strip the separator of the first row of each page.
       for (auto& [first, pid] : next_pages) {

@@ -82,7 +82,9 @@ class Index {
   std::unique_ptr<LockingCursor> NewLockingCursor(Transaction* txn);
 
   // ---- rebuilds ----
-  Status RebuildOnline(const RebuildOptions& options, RebuildResult* result);
+  // `resume` (null for a fresh run): see OnlineRebuilder::Run.
+  Status RebuildOnline(const RebuildOptions& options, RebuildResult* result,
+                       const RebuildProgressInfo* resume = nullptr);
   Status RebuildOffline(RebuildResult* result);
 
   // The index's one online rebuilder: its progress() and last_result()

@@ -43,18 +43,13 @@ struct DbOptions {
   // Maximum sealed-but-not-yet-durable segments in flight.
   uint32_t wal_inflight_segments = 4;
 
-  // Group-commit micro-batch window (microseconds): after a commit
-  // demands a flush the sealer keeps the segment open this long so
-  // concurrent commits share one device round. 0 seals immediately.
-  uint32_t wal_group_window_us = 100;
-
   // Log sync discipline (see storage/async_io.h). O_DIRECT is probed at
   // open and falls back to buffered fdatasync where the filesystem refuses
   // it. Overridable via the OIR_WAL_SYNC environment variable.
   WalSyncMode wal_sync_mode = WalSyncMode::kFdatasync;
 
-  // Back the database with a POSIX file instead of memory.
-  bool use_file_disk = false;
+  // Back the database with this POSIX file. Empty = the database lives in
+  // memory.
   std::string file_path;
 
   // Persist the write-ahead log to this file (plus a `.master` sidecar for
@@ -62,23 +57,17 @@ struct DbOptions {
   // log lives in memory (crash testing via Db::CrashAndRecover).
   std::string log_path;
 
-  // Initial device size in pages.
-  uint32_t initial_disk_pages = 64;
-
   // Test hook: wraps the freshly created disk before any component sees it.
   // Fault-injection tests install a FaultInjectingDisk decorator here; the
   // returned disk is what the buffer pool and space manager talk to.
   std::function<std::unique_ptr<Disk>(std::unique_ptr<Disk>)> wrap_disk;
 
   // Live-stats publisher: when non-empty, a background thread writes
-  // DumpStatsJson() to this path (atomic temp+rename) every
-  // stats_publish_interval_ms, and feeds the flight recorder's
-  // recent-stats ring. `oir_top` polls the file. The OIR_STATS_PUBLISH
-  // and OIR_STATS_INTERVAL_MS environment variables override the path
-  // and cadence, so any existing binary can publish without a flag
-  // change.
+  // DumpStatsJson() to this path (atomic temp+rename) every 500 ms, and
+  // feeds the flight recorder's recent-stats ring. `oir_top` polls the
+  // file. The OIR_STATS_PUBLISH environment variable overrides the path,
+  // so any existing binary can publish without a flag change.
   std::string stats_publish_path;
-  uint32_t stats_publish_interval_ms = 500;
 };
 
 // Options of the online index rebuild (Section 3).
@@ -122,27 +111,6 @@ struct RebuildOptions {
   // poll Index::rebuilder().progress() directly.
   std::function<void(const obs::RebuildProgress&)> on_progress;
 
-  // ---- resumability ----
-  // Append a kRebuildProgress record (copy cursor, carried counters,
-  // new-page high-water mark) after every N committed rebuild
-  // transactions, plus one at start and one at completion. Restart
-  // recovery re-arms a crashed rebuild from the last durable one. 0
-  // disables progress logging (ablation: the pre-resume behavior).
-  uint32_t progress_interval_txns = 1;
-
-  // Resume point of a crashed rebuild (normally filled by
-  // Db::ResumeRebuild from recovery's pending state; settable directly for
-  // tests). With resume=true the copy starts after resume_cursor instead
-  // of at the leftmost leaf; resume_cursor_valid=false resumes from the
-  // beginning but still carries the counters below into the progress
-  // tracker.
-  bool resume = false;
-  bool resume_cursor_valid = false;
-  std::string resume_cursor;
-  uint64_t resume_leaves_rebuilt = 0;
-  uint64_t resume_top_actions = 0;
-  uint64_t resume_transactions = 0;
-
   // ---- admission control ----
   // Pace the rebuild so foreground operations degrade no more than this
   // percentage versus their latency baseline. Between top actions the
@@ -181,7 +149,7 @@ struct RebuildResult {
   std::string resume_cursor;         // the cursor it started from
   uint64_t progress_records = 0;     // kRebuildProgress records appended
   uint64_t throttle_pauses = 0;      // admission-control pauses taken
-  uint64_t throttle_pause_us = 0;    // total attributed pause time
+  uint64_t throttle_pause_us = 0;    // total paced time (yields+pauses)
 
   // JSON object with every field above (stats-export path).
   std::string ToJson() const;

@@ -54,13 +54,15 @@ struct OnlineRebuilder::Impl {
   std::string resume_key;
   bool has_resume = false;
 
+  // Counters of the crashed run this one resumes (0 for a fresh run);
+  // progress records carry them forward.
+  uint64_t base_top_actions = 0;
+  uint64_t base_transactions = 0;
+
   // Highest new page id produced so far (0 = none yet): the side-file
   // high-water mark carried in progress records so a resumed run knows the
   // extent of already-produced pages.
   PageId new_page_hwm = kInvalidPageId;
-
-  // Committed rebuild transactions since the last progress record.
-  uint32_t txns_since_progress = 0;
 
   // Per-transaction page sets. flush_pages_txn holds every keycopy TARGET
   // of the transaction — the new pages plus each top action's PP, which may
@@ -88,10 +90,9 @@ struct OnlineRebuilder::Impl {
   }
 
   Status Run();
-  // Appends (and flushes) a kRebuildProgress record describing the current
-  // durable position, fires the "rebuild.progress.logged" crash point and
-  // mirrors the record into the journal for checkpoint embedding.
-  // Appends a kRebuildProgress record. `in_txn` records ride ahead of
+  // Appends a kRebuildProgress record describing the current position,
+  // mirrored into the journal for checkpoint embedding, and fires the
+  // "rebuild.progress.logged" crash point. `in_txn` records ride ahead of
   // their transaction's commit record (its flush makes them durable);
   // standalone markers are flushed immediately.
   Status LogProgress(bool done_flag, bool in_txn);
@@ -127,7 +128,8 @@ OnlineRebuilder::OnlineRebuilder(BTree* tree, TransactionManager* tm,
       journal_(journal) {}
 
 Status OnlineRebuilder::Run(const RebuildOptions& options,
-                            RebuildResult* result) {
+                            RebuildResult* result,
+                            const RebuildProgressInfo* resume) {
   if (options.ntasize < 1 || options.xactsize < options.ntasize ||
       options.fillfactor < 50 || options.fillfactor > 100 ||
       options.io_pages < 1) {
@@ -138,8 +140,7 @@ Status OnlineRebuilder::Run(const RebuildOptions& options,
   if (options.io_pages > bm_->pool_frames()) {
     return Status::InvalidArgument("io_pages exceeds the buffer pool size");
   }
-  if (options.resume && options.resume_cursor_valid &&
-      options.resume_cursor.empty()) {
+  if (resume != nullptr && resume->has_cursor && resume->cursor.empty()) {
     return Status::InvalidArgument("resume cursor marked valid but empty");
   }
   *result = RebuildResult();
@@ -157,19 +158,25 @@ Status OnlineRebuilder::Run(const RebuildOptions& options,
 
   progress_.Reset();
   progress_.Begin(space_->CountInState(PageState::kAllocated));
-  if (options.resume) {
-    // Carry the crashed run's counters so pollers see cumulative progress;
-    // RebuildResult stays this-run-only.
+  if (resume != nullptr) {
+    // The copy restarts after the last durable cursor. Carry the crashed
+    // run's counters so pollers see cumulative progress; RebuildResult
+    // stays this-run-only.
+    if (resume->has_cursor) {
+      impl.resume_key = resume->cursor;
+      impl.has_resume = true;
+    }
+    impl.base_top_actions = resume->top_actions;
+    impl.base_transactions = resume->transactions;
     progress_.resumed.store(true, std::memory_order_relaxed);
-    progress_.leaves_rebuilt.store(options.resume_leaves_rebuilt,
+    progress_.leaves_rebuilt.store(resume->leaves_rebuilt,
                                    std::memory_order_relaxed);
-    progress_.top_actions.store(options.resume_top_actions,
+    progress_.top_actions.store(resume->top_actions,
                                 std::memory_order_relaxed);
-    progress_.transactions.store(options.resume_transactions,
+    progress_.transactions.store(resume->transactions,
                                  std::memory_order_relaxed);
     result->resumed = true;
-    result->resume_cursor =
-        options.resume_cursor_valid ? options.resume_cursor : std::string();
+    result->resume_cursor = impl.resume_key;
   }
 
   CounterSnapshot before = GlobalCounters::Get().Snapshot();
@@ -221,13 +228,6 @@ std::string RebuildResult::ToJson() const {
 }
 
 Status OnlineRebuilder::Impl::Run() {
-  // Resume point of a crashed run (Db::ResumeRebuild / tests): the copy
-  // restarts after the last durable cursor instead of at the leftmost leaf.
-  if (opts.resume && opts.resume_cursor_valid) {
-    resume_key = opts.resume_cursor;
-    has_resume = true;
-  }
-
   // Admission control: paced between top actions; lives for this run only.
   RebuildThrottle throttle(RebuildThrottle::Config{
       opts.max_foreground_degradation_pct, opts.throttle_baseline_ns});
@@ -258,12 +258,10 @@ Status OnlineRebuilder::Impl::Run() {
         // pacing inside the scope attributes the pause as throttled time
         // of the rebuild op rather than unclassified thread idle.
         obs::OpScope rebuild_op(obs::OpType::kRebuild);
-        uint64_t paused_us = throttle.Pace();
-        if (paused_us > 0) {
-          progress->throttle_pauses.fetch_add(1, std::memory_order_relaxed);
-          progress->throttle_us.fetch_add(paused_us,
-                                          std::memory_order_relaxed);
-        }
+        throttle.Pace();
+        const RebuildThrottle::Stats ts = throttle.stats();
+        progress->throttle_pauses.store(ts.pauses, std::memory_order_relaxed);
+        progress->throttle_us.store(ts.pause_us, std::memory_order_relaxed);
         s = TopAction(op, &path, &done);
       }
       const uint64_t delta = old_pages_txn.size() - before;
@@ -272,8 +270,7 @@ Status OnlineRebuilder::Impl::Run() {
       if (!s.ok()) break;
       pages_this_txn += static_cast<uint32_t>(delta);
       progress->leaves_rebuilt.fetch_add(delta, std::memory_order_relaxed);
-      progress->top_actions.store(opts.resume_top_actions +
-                                      result->top_actions,
+      progress->top_actions.store(base_top_actions + result->top_actions,
                                   std::memory_order_relaxed);
       if (opts.on_progress) opts.on_progress(progress->Load());
     }
@@ -293,13 +290,7 @@ Status OnlineRebuilder::Impl::Run() {
     // the same durable prefix, and they survive the rollback.) The done
     // record doubles as the "no resume needed" marker for recovery and
     // clears the checkpoint journal.
-    if (s.ok() && opts.progress_interval_txns > 0) {
-      ++txns_since_progress;
-      if (done || txns_since_progress >= opts.progress_interval_txns) {
-        txns_since_progress = 0;
-        s = LogProgress(/*done_flag=*/done, /*in_txn=*/true);
-      }
-    }
+    if (s.ok()) s = LogProgress(/*done_flag=*/done, /*in_txn=*/true);
     if (!s.ok()) {
       // Abort path (Section 4.1.3): the in-flight top action was already
       // rolled back inside TopAction; completed top actions survive the
@@ -337,7 +328,6 @@ Status OnlineRebuilder::Impl::Run() {
 }
 
 Status OnlineRebuilder::Impl::LogProgress(bool done_flag, bool in_txn) {
-  if (opts.progress_interval_txns == 0) return Status::OK();
   LogRecord rec;
   rec.type = LogType::kRebuildProgress;
   RebuildProgressInfo& rp = rec.rebuild_progress;
@@ -347,7 +337,7 @@ Status OnlineRebuilder::Impl::LogProgress(bool done_flag, bool in_txn) {
   rp.cursor = resume_key;
   rp.leaves_rebuilt =
       progress->leaves_rebuilt.load(std::memory_order_relaxed);
-  rp.top_actions = opts.resume_top_actions + result->top_actions;
+  rp.top_actions = base_top_actions + result->top_actions;
   // An in-transaction record rides ahead of its transaction's commit
   // record, so it counts the transaction it rides in: if the record is
   // durable, every preceding top action is durable with it (WAL flushes
@@ -355,9 +345,10 @@ Status OnlineRebuilder::Impl::LogProgress(bool done_flag, bool in_txn) {
   // transaction's rollback) — the cursor is valid no matter how the commit
   // itself fares.
   rp.transactions =
-      opts.resume_transactions + result->transactions + (in_txn ? 1 : 0);
+      base_transactions + result->transactions + (in_txn ? 1 : 0);
   rp.new_page_hwm = new_page_hwm;
-  Lsn lsn = log->AppendSystem(&rec);
+  const Lsn lsn = journal != nullptr ? journal->AppendAndPublish(log, &rec)
+                                     : log->AppendSystem(&rec);
   if (!in_txn) {
     // Standalone marker (begin): nothing downstream is about to flush it,
     // so force it durable now. In-transaction records skip this — the
@@ -367,13 +358,6 @@ Status OnlineRebuilder::Impl::LogProgress(bool done_flag, bool in_txn) {
   OIR_CRASH_POINT("rebuild.progress.logged");
   ++result->progress_records;
   progress->progress_records.fetch_add(1, std::memory_order_relaxed);
-  if (journal != nullptr) {
-    if (done_flag) {
-      journal->Clear();
-    } else {
-      journal->Publish(rp);
-    }
-  }
   return Status::OK();
 }
 
@@ -641,29 +625,10 @@ Status OnlineRebuilder::Impl::TopAction(OpCtx op, BTree::Path* path,
       if (e.kind != PropEntry::Kind::kDelete) kids.emplace_back(e.sep, e.child);
     }
     OIR_CHECK(!kids.empty());
-    if (kids.size() == 1) {
-      s = tree->SetRoot(op, kids[0].second);
-    } else {
-      PageId rid;
-      s = space->Allocate(op.ctx, &rid);
-      if (s.ok()) {
-        PageRef nr;
-        s = tree->FormatNewPage(op, rid, 1, kInvalidPageId, kInvalidPageId,
-                                &nr);
-        if (s.ok()) {
-          std::vector<std::string> rows;
-          rows.push_back(node::MakeNonLeafRow(kids[0].second, Slice()));
-          for (size_t i = 1; i < kids.size(); ++i) {
-            rows.push_back(
-                node::MakeNonLeafRow(kids[i].second, Slice(kids[i].first)));
-          }
-          tree->LogBatchInsert(op, &nr, 0, rows, 1);
-          nr.latch().UnlockX();
-          nr.Release();
-          s = tree->SetRoot(op, rid);
-        }
-      }
-    }
+    const PageId first = kids[0].second;
+    kids.erase(kids.begin());
+    s = kids.empty() ? tree->SetRoot(op, first)
+                     : tree->NewRoot(op, first, kids, kLeafLevel);
   } else if (s.ok()) {
     s = Propagate(op, &nta, std::move(leaf_entries), 1, pp_route_key,
                   have_pp_route, path);
@@ -1077,8 +1042,6 @@ Status OnlineRebuilder::Impl::ApplyGroup(OpCtx op, BTree::NtaScope* nta,
                                          std::vector<PropEntry>* next_level) {
   OIR_CRASH_POINT("rebuild.propagate.group");
   const PageId pid = parent->id();
-  const bool already_ours =
-      locks->IsHeld(op.id, AddressLockKey(pid), LockMode::kX);
   Status ls = locks->Lock(op.id, AddressLockKey(pid), LockMode::kX,
                           /*conditional=*/false);
   if (!ls.ok()) {
@@ -1086,7 +1049,6 @@ Status OnlineRebuilder::Impl::ApplyGroup(OpCtx op, BTree::NtaScope* nta,
     return ls;
   }
   nta->locked.push_back(pid);
-  (void)already_ours;
 
   SlottedPage sp(parent->data(), page_size());
 
@@ -1314,22 +1276,7 @@ Status OnlineRebuilder::Impl::ApplyGroup(OpCtx op, BTree::NtaScope* nta,
     if (is_root) {
       // The root split during rebuild propagation: grow the tree with a new
       // root over [pid, siblings...].
-      PageId rid;
-      OIR_RETURN_IF_ERROR(space->Allocate(op.ctx, &rid));
-      PageRef nr;
-      OIR_RETURN_IF_ERROR(tree->FormatNewPage(
-          op, rid, static_cast<uint16_t>(level + 1), kInvalidPageId,
-          kInvalidPageId, &nr));
-      std::vector<std::string> rows;
-      rows.push_back(node::MakeNonLeafRow(pid, Slice()));
-      for (auto& [s, c] : sibling_entries) {
-        rows.push_back(node::MakeNonLeafRow(c, Slice(s)));
-      }
-      tree->LogBatchInsert(op, &nr, 0, rows,
-                           static_cast<uint16_t>(level + 1));
-      nr.latch().UnlockX();
-      nr.Release();
-      OIR_RETURN_IF_ERROR(tree->SetRoot(op, rid));
+      OIR_RETURN_IF_ERROR(tree->NewRoot(op, pid, sibling_entries, level));
     } else {
       for (auto& [s, c] : sibling_entries) {
         PropEntry ins;

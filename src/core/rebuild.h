@@ -54,8 +54,17 @@ class OnlineRebuilder {
 
   // Runs a full online rebuild of the index. Concurrent inserts, deletes
   // and scans are allowed throughout; only the pages of the current top
-  // action are restricted.
-  Status Run(const RebuildOptions& options, RebuildResult* result);
+  // action are restricted. Every rebuild transaction logs one
+  // kRebuildProgress record, plus one at start, so restart recovery can
+  // re-arm a crashed rebuild from the last durable one.
+  //
+  // `resume` (null for a fresh run) is a crashed run's last durable
+  // progress record, as recovery found it (Db::ResumeRebuild): the copy
+  // starts after its cursor instead of at the leftmost leaf (from the
+  // beginning when it has none), and its counters carry into the progress
+  // tracker.
+  Status Run(const RebuildOptions& options, RebuildResult* result,
+             const RebuildProgressInfo* resume = nullptr);
 
   // Progress snapshot, pollable from any thread while Run executes (and
   // after: `done` stays set). leaves_total is an allocated-page upper-bound

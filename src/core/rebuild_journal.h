@@ -9,10 +9,18 @@
 // progress records is truncated. After restart recovery the pending resume
 // state is re-published here, so a post-recovery checkpoint taken before
 // the rebuild is resumed still carries it.
+//
+// A progress record's append and its publication are one step with
+// respect to a checkpoint's capture of its scan start: a checkpoint whose
+// scan starts after a progress record therefore always embeds that record
+// or a newer one. Otherwise a checkpoint could read the entry a done
+// record was about to clear, start its scan after the done record, and
+// re-arm a completed rebuild at recovery.
 
 #include <string>
 
 #include "sync/mutex.h"
+#include "wal/log_manager.h"
 #include "wal/log_record.h"
 
 namespace oir {
@@ -33,13 +41,23 @@ class RebuildJournal {
     info_ = RebuildProgressInfo();
   }
 
-  // Copies the latest progress into *info; false when no rebuild is
-  // pending (checkpoints then embed an inactive payload).
-  bool Latest(RebuildProgressInfo* info) const {
+  // Appends `rec`, a kRebuildProgress record, to `log` and publishes its
+  // payload, or clears the entry when it is a done record (rebuilder).
+  Lsn AppendAndPublish(LogManager* log, LogRecord* rec) {
     MutexLock l(mu_);
-    if (!valid_) return false;
-    *info = info_;
-    return true;
+    const Lsn lsn = log->AppendSystem(rec);
+    valid_ = !rec->rebuild_progress.done;
+    info_ = valid_ ? rec->rebuild_progress : RebuildProgressInfo();
+    return lsn;
+  }
+
+  // Checkpoint side: returns `log`'s tail, the checkpoint's recovery scan
+  // start, and copies the latest progress into *info (left untouched when
+  // no rebuild is pending, so checkpoints embed an inactive payload).
+  Lsn Snapshot(const LogManager& log, RebuildProgressInfo* info) const {
+    MutexLock l(mu_);
+    if (valid_) *info = info_;
+    return log.tail_lsn();
   }
 
  private:

@@ -2,6 +2,8 @@
 
 #include <thread>
 
+#include "util/clock.h"
+
 namespace oir {
 
 namespace {
@@ -109,16 +111,22 @@ bool RebuildThrottle::OverBudget() {
   return over;
 }
 
-uint64_t RebuildThrottle::Pace() {
-  if (!enabled()) return 0;
+void RebuildThrottle::Pace() {
+  if (!enabled()) return;
 
   // Cede the processor once per batch: admission control can only measure
   // foreground latency if foreground threads actually get to run. On a
   // saturated (or single-core) machine the copy loop otherwise monopolizes
   // the CPU between its short blocking points and the profiler sees zero
   // foreground traffic — reading "no pressure" exactly when pressure is
-  // highest.
-  std::this_thread::yield();
+  // highest. On a busy machine this yield alone can pace the rebuild, so
+  // it is attributed and timed like a pause.
+  const uint64_t yield0 = NowNanos();
+  {
+    obs::WaitScope ws(obs::WaitState::kThrottled);
+    std::this_thread::yield();
+  }
+  paced_ns_ += NowNanos() - yield0;
 
   if (calls_since_sample_++ % kSampleEveryCalls == 0) {
     if (OverBudget()) {
@@ -129,9 +137,9 @@ uint64_t RebuildThrottle::Pace() {
       pause_us_ = pause_us_ > kDecayUs ? pause_us_ - kDecayUs : 0;
     }
   }
-  if (pause_us_ == 0) return 0;
+  if (pause_us_ == 0) return;
 
-  auto begin = std::chrono::steady_clock::now();
+  const uint64_t sleep0 = NowNanos();
   {
     obs::WaitScope ws(obs::WaitState::kThrottled);
     MutexLock l(mu_);
@@ -139,15 +147,14 @@ uint64_t RebuildThrottle::Pace() {
     // is never signalled, so this is a bounded timed wait.
     cv_.WaitFor(mu_, std::chrono::microseconds(pause_us_));
   }
-  uint64_t waited_us = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - begin)
-          .count());
+  paced_ns_ += NowNanos() - sleep0;
   ++stats_.pauses;
-  stats_.pause_us += waited_us;
-  return waited_us;
 }
 
-RebuildThrottle::Stats RebuildThrottle::stats() const { return stats_; }
+RebuildThrottle::Stats RebuildThrottle::stats() const {
+  Stats s = stats_;
+  s.pause_us = paced_ns_ / 1000;
+  return s;
+}
 
 }  // namespace oir

@@ -45,8 +45,8 @@ class RebuildThrottle {
   };
 
   struct Stats {
-    uint64_t pauses = 0;    // Pace() calls that actually slept
-    uint64_t pause_us = 0;  // cumulative attributed sleep time
+    uint64_t pauses = 0;    // AIMD sleeps taken
+    uint64_t pause_us = 0;  // cumulative paced time: yields plus sleeps
     uint64_t backoffs = 0;  // over-budget samples (pause grew)
     uint64_t baseline_ns = 0;  // the baseline in effect (0 = none)
   };
@@ -57,10 +57,11 @@ class RebuildThrottle {
   // immediately before the rebuild's first top action.
   void Start();
 
-  // Samples the signals, adjusts the pause, and sleeps it off (attributed
-  // as WaitState::kThrottled). Returns the microseconds actually paused
-  // (0 when pacing is disabled or foreground is within budget).
-  uint64_t Pace();
+  // Yields the processor, samples the signals, adjusts the pause, and
+  // sleeps it off. The yield and the sleep are both attributed as
+  // WaitState::kThrottled and counted in stats().pause_us. No-op when
+  // pacing is disabled.
+  void Pace();
 
   Stats stats() const;
 
@@ -83,6 +84,7 @@ class RebuildThrottle {
   uint32_t calls_since_sample_ = 0;
 
   uint64_t pause_us_ = 0;  // current AIMD pause
+  uint64_t paced_ns_ = 0;  // cumulative paced time (Stats::pause_us)
   Stats stats_;
 
   // The pause: a timed CV wait (never signalled in production; tests could

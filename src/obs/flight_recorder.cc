@@ -138,7 +138,7 @@ std::string FlightRecorder::BuildBundleJson(const std::string& reason) {
   GlobalCounters::Get().Snapshot().ForEach(
       [&w](const char* name, uint64_t v) { w.Key(name).Value(v); });
   w.EndObject();
-  w.Key("trace").RawValue(TraceBuffer::Get().DumpJson());
+  w.Key("trace").RawValue(TraceBuffer::Get().DumpJson(kMaxTraceEvents));
   {
     MutexLock l(ring_mu_);
     w.Key("recent_stats").BeginArray();

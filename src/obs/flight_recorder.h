@@ -27,7 +27,9 @@
 // rename, so a reader never sees a torn bundle. <dir> is OIR_FLIGHT_DIR,
 // else TMPDIR, else /tmp. Triggered bundles (watchdog fires, crash-point
 // trips) are capped at the newest kMaxTriggeredBundles per process; a
-// bundle whose path the caller asked for is never deleted.
+// bundle whose path the caller asked for is never deleted. A bundle's
+// "trace" section holds the newest kMaxTraceEvents events of the trace
+// ring, which keeps a bundle small (a full ring holds 65,536).
 
 #include <atomic>
 #include <cstdint>
@@ -47,6 +49,7 @@ class FlightRecorder {
  public:
   static constexpr size_t kMaxRecentStats = 8;
   static constexpr size_t kMaxTriggeredBundles = 16;
+  static constexpr size_t kMaxTraceEvents = 1024;
 
   static FlightRecorder& Get();
 

@@ -28,7 +28,7 @@ struct RebuildProgress {
                                    // counters above include the prior run
   uint64_t progress_records = 0;   // durable progress records appended
   uint64_t throttle_pauses = 0;    // admission-control pauses taken
-  uint64_t throttle_us = 0;        // cumulative attributed pause time
+  uint64_t throttle_us = 0;        // cumulative paced time (yields+pauses)
 };
 
 class RebuildProgressTracker {

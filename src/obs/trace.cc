@@ -8,8 +8,6 @@
 
 namespace oir::obs {
 
-std::atomic<bool> TraceBuffer::enabled_{false};
-
 namespace {
 
 // Small dense thread id, assigned on first trace from each thread.
@@ -46,28 +44,18 @@ const char* TraceEventName(TraceEventType t) {
   return "unknown";
 }
 
+TraceBuffer::TraceBuffer() {
+  for (Ring& ring : rings_) {
+    ring.slots = std::make_unique<Slot[]>(kRingCapacity);
+  }
+}
+
 TraceBuffer& TraceBuffer::Get() {
   static TraceBuffer* instance = new TraceBuffer();
   return *instance;
 }
 
-void TraceBuffer::SetEnabled(bool on) {
-  if (on && !allocated_.load(std::memory_order_acquire)) {
-    MutexLock l(init_mu_);
-    if (!allocated_.load(std::memory_order_relaxed)) {
-      auto rings = std::make_unique<Ring[]>(kNumRings);
-      for (size_t i = 0; i < kNumRings; ++i) {
-        rings[i].slots = std::make_unique<Slot[]>(kRingCapacity);
-      }
-      rings_ = std::move(rings);
-      allocated_.store(true, std::memory_order_release);
-    }
-  }
-  enabled_.store(on, std::memory_order_relaxed);
-}
-
 void TraceBuffer::Clear() {
-  if (!allocated_.load(std::memory_order_acquire)) return;
   for (size_t r = 0; r < kNumRings; ++r) {
     Ring& ring = rings_[r];
     ring.cursor.store(0, std::memory_order_relaxed);
@@ -78,7 +66,6 @@ void TraceBuffer::Clear() {
 }
 
 void TraceBuffer::Record(TraceEventType type, uint64_t arg0, uint64_t arg1) {
-  if (!allocated_.load(std::memory_order_acquire)) return;
   const uint32_t tid = TraceTid();
   Ring& ring = rings_[tid % kNumRings];
   const uint64_t seq = ring.cursor.fetch_add(1, std::memory_order_relaxed);
@@ -92,7 +79,6 @@ void TraceBuffer::Record(TraceEventType type, uint64_t arg0, uint64_t arg1) {
 
 std::vector<TraceRecord> TraceBuffer::Snapshot() const {
   std::vector<TraceRecord> out;
-  if (!allocated_.load(std::memory_order_acquire)) return out;
   for (size_t r = 0; r < kNumRings; ++r) {
     const Ring& ring = rings_[r];
     const uint64_t cursor = ring.cursor.load(std::memory_order_acquire);
@@ -118,11 +104,13 @@ std::vector<TraceRecord> TraceBuffer::Snapshot() const {
   return out;
 }
 
-std::string TraceBuffer::DumpJson() const {
+std::string TraceBuffer::DumpJson(size_t max_events) const {
   std::vector<TraceRecord> recs = Snapshot();
+  const size_t first = recs.size() - std::min(recs.size(), max_events);
   JsonWriter w;
   w.BeginObject().Key("events").BeginArray();
-  for (const TraceRecord& r : recs) {
+  for (size_t i = first; i < recs.size(); ++i) {
+    const TraceRecord& r = recs[i];
     w.BeginObject();
     w.Key("ts_ns").Value(r.ts_ns);
     w.Key("type").Value(TraceEventName(r.type));

@@ -4,8 +4,8 @@
 // Lock-free event trace: fixed-size ring buffers with per-thread write
 // cursors (threads are striped over kNumRings rings; claiming a slot is one
 // fetch_add on the ring's cursor, almost always uncontended), binary
-// records with a monotonic timestamp. Compiled in always; when disabled the
-// OIR_TRACE macro is a single relaxed load.
+// records with a monotonic timestamp. Always on: the rings are allocated
+// with the singleton, so a flight bundle always holds the latest events.
 //
 // Dumpable as plain JSON (DumpJson) and as a chrome://tracing document
 // (DumpChromeTracing): save the latter to a file and load it at
@@ -16,8 +16,6 @@
 #include <memory>
 #include <string>
 #include <vector>
-
-#include "sync/mutex.h"
 
 namespace oir::obs {
 
@@ -58,13 +56,9 @@ class TraceBuffer {
   static constexpr size_t kNumRings = 16;
   static constexpr size_t kRingCapacity = 1 << 12;  // records per ring
 
+  // The process-wide buffer; its rings (~2 MiB) live for the process.
   static TraceBuffer& Get();
 
-  static bool enabled() {
-    return enabled_.load(std::memory_order_relaxed);
-  }
-  // Enabling allocates the rings on first use (~2 MiB) and keeps them.
-  void SetEnabled(bool on);
   void Clear();
 
   void Record(TraceEventType type, uint64_t arg0, uint64_t arg1);
@@ -76,7 +70,8 @@ class TraceBuffer {
   std::vector<TraceRecord> Snapshot() const;
 
   // {"events":[{"ts_ns":..,"type":"..","tid":..,"arg0":..,"arg1":..},...]}
-  std::string DumpJson() const;
+  // holding the newest `max_events` records of Snapshot().
+  std::string DumpJson(size_t max_events = SIZE_MAX) const;
   // chrome://tracing "traceEvents" document: begin/end event pairs become
   // duration ("B"/"E") slices, everything else instant ("i") events.
   std::string DumpChromeTracing() const;
@@ -96,27 +91,15 @@ class TraceBuffer {
     std::unique_ptr<Slot[]> slots;
   };
 
-  TraceBuffer() = default;
+  TraceBuffer();
 
-  static std::atomic<bool> enabled_;
-
-  mutable Mutex init_mu_;
-  std::atomic<bool> allocated_{false};
-  // rings_ is written once under init_mu_ (double-checked via allocated_)
-  // and thereafter read lock-free by every Record()/Snapshot() call, so it
-  // cannot be OIR_GUARDED_BY(init_mu_): the publication is the
-  // release-store of allocated_, not the mutex.
-  std::unique_ptr<Ring[]> rings_;
+  Ring rings_[kNumRings];
 };
 
 }  // namespace oir::obs
 
-// Record an event iff tracing is enabled; one relaxed load otherwise.
-#define OIR_TRACE(type, arg0, arg1)                                   \
-  do {                                                                \
-    if (::oir::obs::TraceBuffer::enabled()) {                         \
-      ::oir::obs::TraceBuffer::Get().Record((type), (arg0), (arg1));  \
-    }                                                                 \
-  } while (0)
+// Records an event in the process-wide trace ring.
+#define OIR_TRACE(type, arg0, arg1) \
+  ::oir::obs::TraceBuffer::Get().Record((type), (arg0), (arg1))
 
 #endif  // OIR_OBS_TRACE_H_

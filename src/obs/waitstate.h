@@ -19,10 +19,10 @@
 // operation sum to its wall-clock exactly; the bench asserts >= 95% only to
 // leave room for snapshot races.
 //
-// Everything is gated by one relaxed atomic flag (default off), same
-// discipline as the trace ring: a disabled scope costs one predicted
-// branch. Aggregation is 16-way thread-striped, so concurrent recorders
-// rarely share a cache line or mutex.
+// Everything is gated by one relaxed atomic flag (default off): a
+// disabled scope costs one predicted branch. Aggregation is 16-way
+// thread-striped, so concurrent recorders rarely share a cache line or
+// mutex.
 //
 // This header is included from sync/latch.h and therefore stays minimal:
 // atomics and the clock only — no sync/mutex.h, no histogram.

@@ -4,8 +4,6 @@
 #include <map>
 #include <set>
 
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -219,14 +217,6 @@ Status RedoRecord(ApplyContext* ctx, const LogRecord& rec) {
 
 Status UndoRecord(ApplyContext* ctx, TxnContext* txn, const LogRecord& rec,
                   LogicalUndoHook* hook) {
-  {
-    static const bool trace = getenv("OIR_TRACE_LINKS") != nullptr;
-    if (trace) {
-      std::fprintf(stderr, "[txn %llu] undo %s page=%u link %u<-%u\n",
-                   (unsigned long long)txn->txn_id, LogTypeName(rec.type),
-                   rec.page_id, rec.link_old, rec.link_new);
-    }
-  }
   OIR_CHECK(!rec.is_clr);
   switch (rec.type) {
     case LogType::kInsert: {

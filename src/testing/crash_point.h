@@ -7,7 +7,7 @@
 // OIR_CRASH_POINT("wal.flush.pre"): when the registry is disabled (the
 // default, and the only state production code ever sees) the macro costs a
 // single relaxed atomic load and a predicted branch — the same pattern as
-// the wait profiler and the trace ring. When enabled, every hit is counted
+// the wait profiler. When enabled, every hit is counted
 // per name, and one (name, hit ordinal) pair can be armed with a handler
 // that fires exactly once when that hit occurs.
 //

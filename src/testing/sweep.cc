@@ -60,7 +60,6 @@ Status OpenDb(WorkloadRun* run) {
   // spurious errors on reader paths instead of the writer/rebuild paths
   // the sweep is probing).
   dopts.buffer_pool_pages = 4096;
-  dopts.initial_disk_pages = 64;
   dopts.wrap_disk = [run](std::unique_ptr<Disk> base) {
     auto wrapped = std::make_unique<FaultInjectingDisk>(std::move(base));
     run->fdisk = wrapped.get();
@@ -218,7 +217,6 @@ void RunThreads(const SweepWorkloadOptions& opts, WorkloadRun* run) {
     r.ntasize = opts.rebuild_ntasize;
     r.xactsize = opts.rebuild_xactsize;
     r.io_pages = 2;
-    r.progress_interval_txns = opts.rebuild_progress_interval;
     r.max_foreground_degradation_pct = opts.rebuild_throttle_pct;
     // Error status expected whenever the fault fires mid-rebuild; the
     // rebuild transaction becomes a loser for recovery to clean up, and
@@ -255,7 +253,6 @@ std::string ReproLine(const SweepWorkloadOptions& opts,
   // failing iteration exactly.
   std::ostringstream os;
   os << "repro: OIR_TEST_SEED=" << opts.seed
-     << " OIR_SWEEP_PROGRESS_INTERVAL=" << opts.rebuild_progress_interval
      << " OIR_SWEEP_THROTTLE=" << opts.rebuild_throttle_pct
      << " OIR_CRASH_POINT=" << point << "#" << hit << " ./crash_sweep_test";
   return os.str();
@@ -410,26 +407,14 @@ Status RunCrashIteration(const SweepWorkloadOptions& opts,
     }
   }
 
-  // Oracle 4: resume correctness. A completed rebuild's done record is
-  // flushed before RebuildOnline returns OK, so it must leave nothing
-  // pending; a crashed one with committed work must be re-armed from a
-  // durable cursor — never from zero — and resuming it must converge to
-  // the same committed state.
+  // Oracle 4: resume correctness. Recovery arms a resume point exactly
+  // when the durable log says the rebuild is unfinished; a crashed rebuild
+  // with committed work must be re-armed from a durable cursor — never
+  // from zero — and resuming it must converge to the same committed state.
   result->rebuild_crashed = !run.rebuild_status.ok();
   result->rebuild_committed_txns = run.rebuild_result.transactions;
-  if (!result->rebuild_crashed && db->has_pending_rebuild()) {
-    return Fail(opts, point, hit,
-                "completed rebuild left a pending resume state");
-  }
-  if (result->rebuild_crashed && result->triggered &&
-      opts.rebuild_progress_interval > 0 &&
-      run.rebuild_result.transactions > 0 && !db->has_pending_rebuild()) {
-    std::ostringstream why;
-    why << "crashed rebuild had " << run.rebuild_result.transactions
-        << " committed transactions but recovery armed no resume point — "
-           "a restart would redo everything from zero";
-    return Fail(opts, point, hit, why.str());
-  }
+  s = CheckResumeArmed(db);
+  if (!s.ok()) return Fail(opts, point, hit, s.message());
   if (db->has_pending_rebuild()) {
     const RebuildProgressInfo before = db->pending_rebuild().progress;
     // Each progress record rides ahead of its transaction's commit record
@@ -438,7 +423,7 @@ Status RunCrashIteration(const SweepWorkloadOptions& opts,
     // committed count. (It may lead it — a record whose own commit died
     // can still reach disk via a concurrent commit's prefix flush, and its
     // NTA-protected copy work survives with it.)
-    if (result->triggered && opts.rebuild_progress_interval == 1 &&
+    if (result->triggered &&
         before.transactions < run.rebuild_result.transactions) {
       std::ostringstream why;
       why << "durable resume point lost work: progress record holds "
@@ -456,7 +441,6 @@ Status RunCrashIteration(const SweepWorkloadOptions& opts,
     r.ntasize = opts.rebuild_ntasize;
     r.xactsize = opts.rebuild_xactsize;
     r.io_pages = 2;
-    r.progress_interval_txns = opts.rebuild_progress_interval;
     r.max_foreground_degradation_pct = opts.rebuild_throttle_pct;
     RebuildResult res;
     s = db->ResumeRebuild(r, &res);
@@ -479,6 +463,34 @@ Status RunCrashIteration(const SweepWorkloadOptions& opts,
   }
 
   return Status::OK();
+}
+
+Status CheckResumeArmed(Db* db) {
+  LogManager* log = db->log_manager();
+  bool found = false;
+  RebuildProgressInfo newest;
+  for (LogManager::Iterator it = log->Scan(log->head_lsn()); it.Valid();
+       it.Next()) {
+    if (it.record().type == LogType::kRebuildProgress) {
+      found = true;
+      newest = it.record().rebuild_progress;
+    }
+  }
+  const bool unfinished = found && newest.active && !newest.done;
+  if (db->has_pending_rebuild() == unfinished) return Status::OK();
+  std::ostringstream why;
+  if (unfinished) {
+    why << "the newest durable progress record (" << newest.transactions
+        << " rebuild transactions) is not a done record, but recovery "
+           "armed no resume point — a restart would redo everything from "
+           "zero";
+  } else if (found) {
+    why << "completed rebuild left a pending resume state";
+  } else {
+    why << "recovery armed a resume point but the durable log holds no "
+           "progress record";
+  }
+  return Status::Corruption(why.str());
 }
 
 }  // namespace oir::fault

@@ -14,14 +14,15 @@
 // scan of the recovered tree, in addition to CheckInvariants() (oracle.h).
 //
 // Every failure message embeds a one-command reproduction:
-//   OIR_TEST_SEED=<seed> OIR_SWEEP_PROGRESS_INTERVAL=<n> OIR_SWEEP_THROTTLE=<p>
-//   OIR_CRASH_POINT=<name>#<hit> ./crash_sweep_test
+//   OIR_TEST_SEED=<seed> OIR_SWEEP_THROTTLE=<p> OIR_CRASH_POINT=<name>#<hit>
+//   ./crash_sweep_test
 
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/db.h"
 #include "recovery/recovery.h"
 #include "util/status.h"
 
@@ -46,11 +47,6 @@ struct SweepWorkloadOptions {
   // Take one fuzzy checkpoint midway through the writer's run (covers the
   // ckpt.* points and recovery-from-checkpoint).
   bool checkpoint_midway = true;
-
-  // Rebuild progress records every N committed rebuild transactions (0
-  // disables them — the pre-resume behavior). Emitted in every repro line
-  // and read back from OIR_SWEEP_PROGRESS_INTERVAL by the sweep tests.
-  uint32_t rebuild_progress_interval = 1;
 
   // Admission-control knob for the concurrent rebuild (RebuildOptions::
   // max_foreground_degradation_pct; 0 = unthrottled). Emitted in every
@@ -86,17 +82,26 @@ struct CrashIterationResult {
 //      deallocated limbo pages, space map and tree agree.
 //   2. Exact state: a full scan equals the committed-operations model.
 //   3. Liveness: the recovered database accepts a probe transaction.
-//   4. Resume correctness: a rebuild that died with >= 1 committed
-//      transaction must be re-armed from a durable cursor at most one
-//      transaction behind its commit count (never from zero); resuming it
-//      must succeed and re-establish oracles 1 and 2. A rebuild that
-//      completed must leave nothing pending.
+//   4. Resume correctness: recovery must arm a resume point exactly when
+//      the durable log says the rebuild is unfinished (CheckResumeArmed).
+//      An armed point must not trail the rebuild's commit count and must
+//      carry a cursor once a transaction committed (never from zero);
+//      resuming it must succeed and re-establish oracles 1 and 2.
 // Returns non-OK on any oracle failure, with the repro command embedded in
 // the message. Also recovers (and checks) the no-crash case when the armed
 // point never fires.
 Status RunCrashIteration(const SweepWorkloadOptions& opts,
                          const std::string& point, uint64_t hit,
                          CrashIterationResult* result);
+
+// Oracle 4's first half, for a database that has just run restart
+// recovery over an untruncated log: a resume point is armed exactly when
+// the newest durable kRebuildProgress record is not a done record. The
+// rebuild's own status cannot decide this: its done record rides ahead of
+// its last commit, so a concurrent commit can make the record durable
+// while a power cut still fails the rebuild's commit. Returns Corruption
+// describing a mismatch.
+Status CheckResumeArmed(Db* db);
 
 }  // namespace oir::fault
 

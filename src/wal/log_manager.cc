@@ -22,10 +22,15 @@ namespace oir {
 
 namespace {
 
+// Group-commit micro-batch window (file-backed logs): once a commit
+// demands a flush, the sealer holds the seal open this long so commits
+// arriving meanwhile join the same segment — k device rounds become one
+// at the cost of one window of added ack latency.
+constexpr std::chrono::microseconds kGroupWindow{100};
+
 WalOptions SanitizeWalOptions(WalOptions w) {
   if (w.segment_bytes < 4096) w.segment_bytes = 4096;
   if (w.inflight_segments < 1) w.inflight_segments = 1;
-  if (w.group_window_us > 5000) w.group_window_us = 5000;
   return w;
 }
 
@@ -534,15 +539,10 @@ void LogManager::PipelineLoop() {
       flush_cv_.Wait(mu_);
       continue;
     }
-    if (demand && !size_due && writer_ != nullptr &&
-        wal_opts_.group_window_us > 0) {
-      // Micro-batch window: commits arriving within it join this group,
-      // turning k device rounds into one for one window of added ack
-      // latency. Deadline-based — waiter notifications land on flush_cv_
-      // and must not cut the window short.
-      const auto deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::microseconds(wal_opts_.group_window_us);
+    if (demand && !size_due && writer_ != nullptr) {
+      // Micro-batch window (kGroupWindow). Deadline-based — waiter
+      // notifications land on flush_cv_ and must not cut the window short.
+      const auto deadline = std::chrono::steady_clock::now() + kGroupWindow;
       while (!stop_sealer_ && !quiescing_ &&
              !fail_flushes_.load(std::memory_order_relaxed) &&
              trim_base_ + buf_.size() - submitted_lsn_ <

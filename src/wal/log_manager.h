@@ -74,13 +74,6 @@ struct WalOptions {
   // Maximum sealed-but-not-yet-durable segments in flight at the writer.
   uint32_t inflight_segments = 4;
 
-  // Group-commit micro-batch window in microseconds (file-backed logs):
-  // once a commit demands a flush, the sealer holds the seal open this
-  // long so concurrently arriving commits join the same segment — k
-  // device rounds become one at the cost of one window of added ack
-  // latency. 0 seals immediately on demand.
-  uint32_t group_window_us = 100;
-
   // Force discipline for file-backed logs (async_io.h).
   WalSyncMode sync_mode = WalSyncMode::kFdatasync;
 };

@@ -290,7 +290,6 @@ TEST_F(TornTailTest, MemoryLogDiscardsUndurableTailOnCrash) {
 TEST_F(TornTailTest, OpenExistingRecoversPastGarbageTail) {
   std::string base = ::testing::TempDir() + "/oir_torntail_e2e";
   DbOptions opts;
-  opts.use_file_disk = true;
   opts.file_path = base + ".db";
   opts.log_path = base + ".log";
   std::remove(opts.file_path.c_str());

@@ -46,13 +46,28 @@ std::string TakeBundle(const std::string& path) {
   return os.str();
 }
 
-// Routes bundles into gtest's temp dir and restores global obs flags.
+// The events of a bundle's "trace" section, one JSON object each.
+std::vector<std::string> TraceEvents(const std::string& body) {
+  std::vector<std::string> events;
+  const std::string open = "\"trace\":{\"events\":[";
+  size_t pos = body.find(open);
+  EXPECT_NE(pos, std::string::npos);
+  if (pos == std::string::npos) return events;
+  const size_t end = body.find(']', pos);
+  for (pos = body.find('{', pos + open.size()); pos < end;
+       pos = body.find('{', pos + 1)) {
+    events.push_back(body.substr(pos, body.find('}', pos) - pos + 1));
+  }
+  return events;
+}
+
+// Routes bundles into gtest's temp dir, empties the trace ring and
+// restores global obs flags.
 struct RecorderTestEnv {
   RecorderTestEnv() {
     ::setenv("OIR_FLIGHT_DIR", ::testing::TempDir().c_str(), 1);
   }
   ~RecorderTestEnv() {
-    TraceBuffer::Get().SetEnabled(false);
     TraceBuffer::Get().Clear();
     WaitProfiler::SetEnabled(false);
     WaitProfiler::Reset();
@@ -192,6 +207,48 @@ TEST(FlightRecorderTest, WatchdogFireProducesBundle) {
   std::string body = TakeBundle(fr.last_dump_path());
   EXPECT_TRUE(JsonIsValid(body)) << body.substr(0, 400);
   EXPECT_NE(body.find("lock_watchdog"), std::string::npos);
+  // The trace ring is always on: the bundle shows the wait that fired the
+  // watchdog without any tracing switch having been set.
+  bool saw_wait = false;
+  for (const std::string& e : TraceEvents(body)) {
+    if (e.find("\"type\":\"lock_wait_begin\"") != std::string::npos &&
+        e.find("\"arg0\":4242,") != std::string::npos) {
+      saw_wait = true;
+    }
+  }
+  EXPECT_TRUE(saw_wait) << body.substr(0, 2000);
+}
+
+// A bundle carries only the newest kMaxTraceEvents of the trace ring, even
+// after every ring has wrapped.
+TEST(FlightRecorderTest, BundleTraceHoldsTheNewestEventsOnly) {
+  RecorderTestEnv env;
+  auto& tb = TraceBuffer::Get();
+  // Threads take consecutive ring ids, so kNumRings fresh threads cover
+  // every ring; each overfills its ring.
+  std::vector<std::thread> writers;
+  for (size_t t = 0; t < TraceBuffer::kNumRings; ++t) {
+    writers.emplace_back([&tb] {
+      for (size_t n = 0; n <= TraceBuffer::kRingCapacity; ++n) {
+        tb.Record(obs::TraceEventType::kSmoSplit, n, 0);
+      }
+    });
+  }
+  for (auto& th : writers) th.join();
+  ASSERT_EQ(tb.Snapshot().size(),
+            TraceBuffer::kNumRings * TraceBuffer::kRingCapacity);
+  tb.Record(obs::TraceEventType::kCheckpoint, 777, 0);
+
+  std::string path;
+  ASSERT_TRUE(FlightRecorder::Get().DumpNow("trace_cap_test", &path));
+  std::string body = TakeBundle(path);
+  EXPECT_TRUE(JsonIsValid(body)) << body.substr(0, 400);
+  const std::vector<std::string> events = TraceEvents(body);
+  EXPECT_EQ(events.size(), FlightRecorder::kMaxTraceEvents);
+  ASSERT_FALSE(events.empty());
+  EXPECT_NE(events.back().find("\"type\":\"checkpoint\""),
+            std::string::npos)
+      << events.back();
 }
 
 TEST(FlightRecorderTest, TrippedCrashPointProducesBundle) {
@@ -228,10 +285,10 @@ TEST(FlightRecorderTest, BundleCorpusAcrossVariedStates) {
       "",
   };
   int case_no = 0;
-  for (int trace_on = 0; trace_on <= 1; ++trace_on) {
+  for (int traced = 0; traced <= 1; ++traced) {
     for (int prof_on = 0; prof_on <= 1; ++prof_on) {
-      TraceBuffer::Get().SetEnabled(trace_on != 0);
-      if (trace_on) {
+      TraceBuffer::Get().Clear();
+      if (traced) {
         for (int i = 0; i < 100; ++i) {
           TraceBuffer::Get().Record(obs::TraceEventType::kSmoSplit, i, i);
         }
@@ -246,7 +303,7 @@ TEST(FlightRecorderTest, BundleCorpusAcrossVariedStates) {
         ASSERT_TRUE(fr.DumpNow(reason, &path));
         std::string body = TakeBundle(path);
         EXPECT_TRUE(JsonIsValid(body))
-            << "trace=" << trace_on << " prof=" << prof_on << " reason=["
+            << "trace=" << traced << " prof=" << prof_on << " reason=["
             << reason << "]: " << body.substr(0, 400);
       }
     }
@@ -256,7 +313,6 @@ TEST(FlightRecorderTest, BundleCorpusAcrossVariedStates) {
 TEST(FlightRecorderTest, DumpRacesConcurrentWriters) {
   RecorderTestEnv env;
   auto& fr = FlightRecorder::Get();
-  TraceBuffer::Get().SetEnabled(true);
   WaitProfiler::SetEnabled(true);
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;

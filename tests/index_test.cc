@@ -145,7 +145,6 @@ TEST(IndexTest, FileDiskBackedDatabase) {
   std::string path = ::testing::TempDir() + "/oir_index_filedisk.db";
   std::remove(path.c_str());
   DbOptions opts;
-  opts.use_file_disk = true;
   opts.file_path = path;
   opts.buffer_pool_pages = 1 << 12;
   std::unique_ptr<Db> db;

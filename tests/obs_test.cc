@@ -29,13 +29,10 @@ using obs::TraceEventType;
 using test::MakeDb;
 using test::NumKey;
 
-// Restores the global trace enable flag on scope exit, so a failing test
-// can't leak an enabled hot path into the rest of the suite.
-struct ObsFlagGuard {
-  ~ObsFlagGuard() {
-    TraceBuffer::Get().SetEnabled(false);
-    TraceBuffer::Get().Clear();
-  }
+// Empties the process-wide trace ring on scope exit, so one test's events
+// never show up in the next test's snapshot.
+struct TraceClearGuard {
+  ~TraceClearGuard() { TraceBuffer::Get().Clear(); }
 };
 
 TEST(JsonWriterTest, ObjectsArraysAndEscaping) {
@@ -81,19 +78,9 @@ TEST(JsonValidatorTest, AcceptsAndRejects) {
   EXPECT_FALSE(JsonIsValid("{} trailing"));
 }
 
-TEST(TraceTest, DisabledRecordsNothing) {
-  ObsFlagGuard guard;
-  auto& tb = TraceBuffer::Get();
-  tb.SetEnabled(false);
-  tb.Clear();
-  OIR_TRACE(TraceEventType::kCheckpoint, 1, 2);
-  EXPECT_TRUE(tb.Snapshot().empty());
-}
-
 TEST(TraceTest, RecordsAndWrapsAround) {
-  ObsFlagGuard guard;
+  TraceClearGuard guard;
   auto& tb = TraceBuffer::Get();
-  tb.SetEnabled(true);
   tb.Clear();
 
   // One thread writes into one ring; overfill it so it wraps.
@@ -121,9 +108,8 @@ TEST(TraceTest, RecordsAndWrapsAround) {
 }
 
 TEST(TraceTest, ConcurrentWritersAndDumper) {
-  ObsFlagGuard guard;
+  TraceClearGuard guard;
   auto& tb = TraceBuffer::Get();
-  tb.SetEnabled(true);
   tb.Clear();
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
@@ -147,9 +133,8 @@ TEST(TraceTest, ConcurrentWritersAndDumper) {
 }
 
 TEST(TraceTest, WrapAroundWhileReaderRacesEightWriters) {
-  ObsFlagGuard guard;
+  TraceClearGuard guard;
   auto& tb = TraceBuffer::Get();
-  tb.SetEnabled(true);
   tb.Clear();
   // Each writer overfills rings while a reader dumps: wrap-around
   // overwrites must never tear a record or corrupt the JSON.
@@ -177,9 +162,8 @@ TEST(TraceTest, WrapAroundWhileReaderRacesEightWriters) {
 }
 
 TEST(TraceTest, ChromeTracingHasSlicesForRebuildPhases) {
-  ObsFlagGuard guard;
+  TraceClearGuard guard;
   auto& tb = TraceBuffer::Get();
-  tb.SetEnabled(true);
   tb.Clear();
 
   auto db = MakeDb();
@@ -276,8 +260,7 @@ TEST(RebuildProgressTest, MonotonicWhilePolledUnderConcurrentWriters) {
 }
 
 TEST(WatchdogTest, FiresAndNamesPageWaiterAndHolder) {
-  ObsFlagGuard guard;
-  TraceBuffer::Get().SetEnabled(true);
+  TraceClearGuard guard;
   TraceBuffer::Get().Clear();
 
   LockManager lm;

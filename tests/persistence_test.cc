@@ -22,7 +22,6 @@ class PersistenceTest : public ::testing::Test {
     base_ = ::testing::TempDir() + "/oir_persist_" +
             ::testing::UnitTest::GetInstance()->current_test_info()->name();
     Cleanup();
-    opts_.use_file_disk = true;
     opts_.file_path = base_ + ".db";
     opts_.log_path = base_ + ".log";
     opts_.buffer_pool_pages = 1 << 13;

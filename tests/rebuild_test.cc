@@ -17,6 +17,7 @@
 #include "obs/waitstate.h"
 #include "testing/crash_point.h"
 #include "testing/oracle.h"
+#include "testing/sweep.h"
 #include "tests/test_util.h"
 #include "wal/log_manager.h"
 
@@ -502,18 +503,72 @@ TEST(RebuildResumeTest, CompletedRebuildLeavesNothingPending) {
   ExpectInvariants(db.get());
 }
 
-TEST(RebuildResumeTest, ProgressLoggingAblationWritesNoRecords) {
-  auto db = MakeDb();
-  BuildHalfFullIndex(db.get(), 400);
+// The done record rides ahead of the rebuild's last commit, so another
+// committer's flush can make it durable while a power cut still fails the
+// rebuild's own commit. RebuildOnline then reports an error, but the
+// rebuild finished: recovery arms nothing, and the sweep's resume oracle,
+// which reads the durable log, must agree.
+TEST(RebuildResumeTest, DurableDoneRecordOfFailedRebuildArmsNothing) {
+  const uint64_t kN = 1200;
   RebuildOptions opts = SmallTxnOptions();
-  opts.progress_interval_txns = 0;  // pre-resume behavior
-  RebuildResult res;
-  ASSERT_OK(db->index()->RebuildOnline(opts, &res));
-  EXPECT_EQ(res.progress_records, 0u);
+  const uint64_t full_txns = FullRebuildTxns(kN, opts);
+  auto db = MakeDb();
+  BuildHalfFullIndex(db.get(), kN);
+
+  auto& reg = fault::CrashPointRegistry::Get();
+  fault::CrashPointRegistry::SetEnabled(true);
+  reg.ResetCounts();
+  LogManager* log = db->log_manager();
+  reg.Arm("rebuild.txn.commit", /*hit_index=*/full_txns - 1, [log] {
+    EXPECT_OK(log->FlushAll());  // the concurrent committer's flush
+    log->SetFailFlushes(true);   // the power cut
+  });
+  RebuildResult crashed;
+  EXPECT_FALSE(db->index()->RebuildOnline(opts, &crashed).ok());
+  EXPECT_TRUE(reg.triggered());
+  reg.Disarm();
+  fault::CrashPointRegistry::SetEnabled(false);
+  log->SetFailFlushes(false);
+  EXPECT_EQ(crashed.transactions, full_txns - 1);
+
   RecoveryStats rs;
   ASSERT_OK(db->CrashAndRecover(&rs));
   EXPECT_FALSE(db->has_pending_rebuild());
-  test::ExpectTreeContains(db.get(), EvenIds(400));
+  EXPECT_OK(fault::CheckResumeArmed(db.get()));
+  test::ExpectTreeContains(db.get(), EvenIds(kN));
+  ExpectInvariants(db.get());
+}
+
+// A checkpoint taken just after the done record is logged starts its
+// recovery scan past that record, so it must not embed the progress the
+// done record superseded: recovery would then re-arm a completed rebuild.
+TEST(RebuildResumeTest, CheckpointAfterDoneRecordArmsNothing) {
+  const uint64_t kN = 1200;
+  RebuildOptions opts = SmallTxnOptions();
+  const uint64_t full_txns = FullRebuildTxns(kN, opts);
+  auto db = MakeDb();
+  BuildHalfFullIndex(db.get(), kN);
+
+  auto& reg = fault::CrashPointRegistry::Get();
+  fault::CrashPointRegistry::SetEnabled(true);
+  reg.ResetCounts();
+  Db* raw = db.get();
+  // Progress records: the begin marker, then one per transaction, the
+  // last of which is the done record.
+  reg.Arm("rebuild.progress.logged", /*hit_index=*/full_txns,
+          [raw] { EXPECT_OK(raw->Checkpoint()); });
+  RebuildResult res;
+  ASSERT_OK(db->index()->RebuildOnline(opts, &res));
+  EXPECT_TRUE(reg.triggered());
+  reg.Disarm();
+  fault::CrashPointRegistry::SetEnabled(false);
+
+  RecoveryStats rs;
+  ASSERT_OK(db->CrashAndRecover(&rs));
+  EXPECT_FALSE(db->has_pending_rebuild());
+  EXPECT_OK(fault::CheckResumeArmed(db.get()));
+  test::ExpectTreeContains(db.get(), EvenIds(kN));
+  ExpectInvariants(db.get());
 }
 
 TEST(RebuildResumeTest, CheckpointCarriesResumePointAcrossTruncation) {

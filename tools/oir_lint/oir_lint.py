@@ -33,6 +33,10 @@ Enforced rules, each backed by a stronger mechanism where one exists:
                   from their path.
   own-header      foo.cc includes "foo.h" first, proving every header is
                   self-contained.
+  env-read        getenv in src/ reads only the names ENV_ALLOWED lists for
+                  its file: deployment paths and the CI hooks. A new
+                  environment variable is a new option; give it a measured
+                  reason and list it here, or make it a constant.
 
 Exit status: 0 when clean, 1 when any finding is reported.
 """
@@ -52,6 +56,13 @@ SLEEP = re.compile(
 )
 SYNC_CALL = re.compile(r"(?:->|\.)\s*Sync\s*\(\s*\)")
 WAIT_CALL = re.compile(r"(?:->|\.)\s*(?:Wait(?:For|Until)?|wait(?:_for|_until)?)\s*\(")
+GETENV = re.compile(r"\bgetenv\s*\(")
+GETENV_NAME = re.compile(r"\s*\"([A-Za-z0-9_]+)\"\s*\)")
+ENV_ALLOWED = {
+    "src/core/db.cc": {"OIR_TEST_WAL", "TMPDIR", "OIR_STATS_PUBLISH"},
+    "src/obs/flight_recorder.cc": {"OIR_FLIGHT_DIR", "TMPDIR"},
+    "src/wal/log_manager.cc": {"OIR_WAL_SYNC"},
+}
 COND_TAIL = re.compile(r"^\s*(?:if|else if|while|for)\s*\([^{]*\)\s*$|^\s*else\s*$")
 
 
@@ -101,6 +112,17 @@ def lint_file(path, src_root, findings):
     sync_ok = in_testing or str(rel).startswith(("src/storage/", "src/wal/"))
 
     for idx, line in enumerate(lines, 1):
+        for m in GETENV.finditer(line):
+            # The name is a string literal, blanked in `line`; read it from
+            # the raw line at the same column.
+            name = GETENV_NAME.match(raw_lines[idx - 1], m.end())
+            allowed = ENV_ALLOWED.get(str(rel), set())
+            if name is None or name.group(1) not in allowed:
+                what = name.group(1) if name else "a non-literal name"
+                findings.append(
+                    f"{rel}:{idx}: env-read: getenv of {what} is not listed "
+                    f"for this file in ENV_ALLOWED; make it a constant"
+                )
         if not in_sync and RAW_SYNC.search(line):
             findings.append(
                 f"{rel}:{idx}: raw-sync: raw std synchronization type; "
