@@ -3,6 +3,7 @@
 
 // Shared workload builders for the benchmark harness.
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -10,6 +11,7 @@
 
 #include "core/db.h"
 #include "core/index.h"
+#include "core/rebuild.h"
 #include "util/counters.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -136,6 +138,56 @@ inline std::vector<uint64_t> BuildHalfUtilizedIndex(Db* db, uint64_t num_keys,
 inline void ColdCache(Db* db) {
   OIR_CHECK(db->buffer_manager()->FlushAll().ok());
   db->buffer_manager()->DropAll();
+}
+
+// One Table 1 cell (Section 6.4): a half-utilized index of `num_keys` keys
+// of `key_size` bytes on 2 KB pages, rebuilt online from a cold cache at
+// fillfactor 100 with 16 KB I/O. `bench_table1` prints these; the
+// table1_exact test pins their log bytes and page counts.
+struct Table1Row {
+  int key_size = 0;
+  uint32_t ntasize = 0;
+  uint64_t log_bytes = 0;
+  uint64_t cpu_ns = 0;
+  uint64_t old_pages = 0;
+  uint64_t new_pages = 0;
+  double nonleaf_row = 0;
+};
+
+// `bench_table1 --quick` index sizes: ~480 and ~810 half-full leaves.
+constexpr uint64_t kTable1QuickKeysSmall = 30000;
+constexpr uint64_t kTable1QuickKeysWide = 15000;
+
+inline Table1Row RunTable1(int key_size, uint64_t num_keys, uint32_t ntasize,
+                           bool log_full_keys) {
+  auto db = OpenDb();
+  BuildHalfUtilizedIndex(db.get(), num_keys, key_size);
+  TreeStats before;
+  OIR_CHECK(db->tree()->Validate(&before).ok());
+  ColdCache(db.get());
+
+  RebuildOptions opts;
+  opts.ntasize = ntasize;
+  opts.xactsize = std::max<uint32_t>(256, ntasize);
+  opts.fillfactor = 100;
+  opts.io_pages = 8;  // 16 KB buffers over 2 KB pages (Section 6.4 setup)
+  opts.log_full_keys = log_full_keys;
+  RebuildResult res;
+  OIR_CHECK(db->index()->RebuildOnline(opts, &res).ok());
+
+  TreeStats after;
+  OIR_CHECK(db->tree()->Validate(&after).ok());
+  OIR_CHECK(after.num_keys == before.num_keys);
+
+  Table1Row row;
+  row.key_size = key_size;
+  row.ntasize = ntasize;
+  row.log_bytes = res.log_bytes;
+  row.cpu_ns = res.cpu_ns;
+  row.old_pages = res.old_leaf_pages;
+  row.new_pages = res.new_leaf_pages;
+  row.nonleaf_row = after.AvgNonLeafRowBytes();
+  return row;
 }
 
 }  // namespace oir::bench

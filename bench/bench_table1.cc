@@ -21,53 +21,9 @@
 #include <cstring>
 
 #include "bench/bench_common.h"
-#include "core/rebuild.h"
 
 namespace oir::bench {
 namespace {
-
-struct Row {
-  int key_size;
-  uint32_t ntasize;
-  uint64_t log_bytes;
-  uint64_t cpu_ns;
-  uint64_t old_pages;
-  uint64_t new_pages;
-  double nonleaf_row;
-};
-
-Row RunOne(int key_size, uint64_t num_keys, uint32_t ntasize,
-           bool log_full_keys) {
-  auto db = OpenDb();
-  BuildHalfUtilizedIndex(db.get(), num_keys, key_size);
-  TreeStats before;
-  OIR_CHECK(db->tree()->Validate(&before).ok());
-  ColdCache(db.get());
-
-  RebuildOptions opts;
-  opts.ntasize = ntasize;
-  opts.xactsize = std::max<uint32_t>(256, ntasize);
-  opts.fillfactor = 100;
-  opts.io_pages = 8;  // 16 KB buffers over 2 KB pages (Section 6.4 setup)
-  opts.log_full_keys = log_full_keys;
-  RebuildResult res;
-  Status s = db->index()->RebuildOnline(opts, &res);
-  OIR_CHECK(s.ok());
-
-  TreeStats after;
-  OIR_CHECK(db->tree()->Validate(&after).ok());
-  OIR_CHECK(after.num_keys == before.num_keys);
-
-  Row row;
-  row.key_size = key_size;
-  row.ntasize = ntasize;
-  row.log_bytes = res.log_bytes;
-  row.cpu_ns = res.cpu_ns;
-  row.old_pages = res.old_leaf_pages;
-  row.new_pages = res.new_leaf_pages;
-  row.nonleaf_row = after.AvgNonLeafRowBytes();
-  return row;
-}
 
 int Main(int argc, char** argv) {
   bool ablate = false;
@@ -76,8 +32,8 @@ int Main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--ablate") == 0) ablate = true;
     if (std::strcmp(argv[i], "--quick") == 0) {
-      num_keys_small = 30000;
-      num_keys_wide = 15000;
+      num_keys_small = kTable1QuickKeysSmall;
+      num_keys_wide = kTable1QuickKeysWide;
     }
   }
 
@@ -94,7 +50,8 @@ int Main(int argc, char** argv) {
     uint64_t base_log = 0;
     uint64_t base_cpu = 0;
     for (uint32_t nta : kNtasizes) {
-      Row r = RunOne(key_size, num_keys, nta, /*log_full_keys=*/false);
+      Table1Row r =
+          RunTable1(key_size, num_keys, nta, /*log_full_keys=*/false);
       if (nta == 1) {
         base_log = r.log_bytes;
         base_cpu = r.cpu_ns;
@@ -125,8 +82,8 @@ int Main(int argc, char** argv) {
     for (int key_size : {4, 40}) {
       uint64_t num_keys = (key_size == 4 ? num_keys_small : num_keys_wide);
       for (uint32_t nta : {1u, 32u}) {
-        Row a = RunOne(key_size, num_keys, nta, false);
-        Row b = RunOne(key_size, num_keys, nta, true);
+        Table1Row a = RunTable1(key_size, num_keys, nta, false);
+        Table1Row b = RunTable1(key_size, num_keys, nta, true);
         std::printf("%-8d %-8u %16llu %16llu %8.2f\n", key_size, nta,
                     (unsigned long long)a.log_bytes,
                     (unsigned long long)b.log_bytes,

@@ -31,7 +31,7 @@ RowId RowIdOf(const Slice& index_key) {
   return rid;
 }
 
-std::string MakeSeparator(const Slice& left, const Slice& right) {
+Slice MakeSeparator(const Slice& left, const Slice& right) {
   OIR_DCHECK(left.compare(right) < 0);
   // Find the first position where they differ. Since left < right, either
   // left is a proper prefix of right (diff = left.size()) or
@@ -41,7 +41,7 @@ std::string MakeSeparator(const Slice& left, const Slice& right) {
   while (diff < min_len && left[diff] == right[diff]) ++diff;
   // The prefix of `right` of length diff+1 is > left and <= right.
   OIR_DCHECK(diff < right.size());
-  return std::string(right.data(), diff + 1);
+  return Slice(right.data(), diff + 1);
 }
 
 }  // namespace oir

@@ -36,8 +36,8 @@ Slice UserKeyOf(const Slice& index_key);
 RowId RowIdOf(const Slice& index_key);
 
 // Shortest separator s with left < s <= right (byte-wise). Requires
-// left < right. The result is a prefix of `right`.
-std::string MakeSeparator(const Slice& left, const Slice& right);
+// left < right. The result is a prefix of `right` and points into it.
+Slice MakeSeparator(const Slice& left, const Slice& right);
 
 }  // namespace oir
 

@@ -127,86 +127,58 @@ Status Index::RebuildOffline(RebuildResult* result) {
     return s;
   }
 
-  // Bulk-load a fresh tree bottom-up.
+  // Bulk-load a fresh tree bottom-up: each level's (separator, page) pairs
+  // are the next level's rows, and a non-leaf page's first row keeps only
+  // its child pointer (its separator moves up).
   const uint32_t cap = bm_->page_size() - kPageHeaderSize;
   auto build_level = [&](const std::vector<std::string>& level_rows,
-                         uint16_t level, bool leaf,
+                         uint16_t level,
                          std::vector<std::pair<std::string, PageId>>* out)
       -> Status {
     if (level_rows.empty()) return Status::OK();
-    // Pack rows into pages; record (first separator, page) pairs.
-    std::vector<std::vector<std::string>> pages;
-    std::vector<std::string> firsts;
+    const bool leaf = level == kLeafLevel;
+    std::vector<size_t> begins;  // first row of each page, then the end
     uint32_t used = 0;
-    for (const std::string& r : level_rows) {
-      if (pages.empty() || used + r.size() + kSlotSize > cap) {
-        pages.emplace_back();
-        firsts.push_back(r);
+    for (size_t r = 0; r < level_rows.size(); ++r) {
+      if (begins.empty() || used + level_rows[r].size() + kSlotSize > cap) {
+        begins.push_back(r);
         used = 0;
       }
-      pages.back().push_back(r);
-      used += static_cast<uint32_t>(r.size()) + kSlotSize;
+      used += static_cast<uint32_t>(level_rows[r].size()) + kSlotSize;
     }
+    begins.push_back(level_rows.size());
+    const uint32_t n = static_cast<uint32_t>(begins.size() - 1);
     std::vector<PageId> ids;
-    OIR_RETURN_IF_ERROR(space_->AllocateChunk(
-        op.ctx, static_cast<uint32_t>(pages.size()), &ids));
-    for (size_t i = 0; i < pages.size(); ++i) {
-      PageId prev = leaf && i > 0 ? ids[i - 1] : kInvalidPageId;
-      PageId next = leaf && i + 1 < pages.size() ? ids[i + 1]
-                                                 : kInvalidPageId;
+    OIR_RETURN_IF_ERROR(space_->AllocateChunk(op.ctx, n, &ids));
+    for (uint32_t i = 0; i < n; ++i) {
+      std::vector<Slice> page_rows(level_rows.begin() + begins[i],
+                                   level_rows.begin() + begins[i + 1]);
+      const Slice first = page_rows[0];
+      if (!leaf) page_rows[0] = Slice(first.data(), sizeof(PageId));
       PageRef ref;
-      OIR_RETURN_IF_ERROR(
-          tree_->FormatNewPage(op, ids[i], level, prev, next, &ref));
-      tree_->LogBatchInsert(op, &ref, 0, pages[i], level);
+      OIR_RETURN_IF_ERROR(tree_->FormatNewPage(
+          op, ids[i], level, leaf && i > 0 ? ids[i - 1] : kInvalidPageId,
+          leaf && i + 1 < n ? ids[i + 1] : kInvalidPageId, &ref));
+      tree_->LogBatchInsert(op, &ref, 0, page_rows, level);
       ref.latch().UnlockX();
-      out->emplace_back(firsts[i], ids[i]);
+      out->emplace_back(
+          (leaf ? first : node::SeparatorOf(first)).ToString(), ids[i]);
     }
     return Status::OK();
   };
 
   std::vector<std::pair<std::string, PageId>> level_pages;
-  s = build_level(rows, kLeafLevel, /*leaf=*/true, &level_pages);
-  uint16_t level = 0;
-  while (s.ok() && level_pages.size() > 1) {
-    ++level;
+  s = build_level(rows, kLeafLevel, &level_pages);
+  for (uint16_t level = 1; s.ok() && level_pages.size() > 1; ++level) {
     std::vector<std::string> parent_rows;
-    parent_rows.reserve(level_pages.size());
     for (size_t i = 0; i < level_pages.size(); ++i) {
-      // The first child of each page loses its separator during packing —
-      // but packing happens per page, so encode all and fix first rows by
-      // re-encoding below. For simplicity, keep full separators except the
-      // very first entry (empty string sorts first anyway).
-      Slice sep = i == 0 ? Slice() : Slice(level_pages[i].first);
-      parent_rows.push_back(node::MakeNonLeafRow(level_pages[i].second, sep));
+      parent_rows.push_back(node::MakeNonLeafRow(
+          level_pages[i].second,
+          i == 0 ? Slice() : Slice(level_pages[i].first)));
     }
     std::vector<std::pair<std::string, PageId>> next_pages;
-    s = build_level(parent_rows, level, /*leaf=*/false, &next_pages);
-    // Fix separator bookkeeping: the "first key" of a non-leaf page is the
-    // separator of its first row, which should bubble up.
-    if (s.ok()) {
-      for (size_t i = 0; i < next_pages.size(); ++i) {
-        next_pages[i].first =
-            i == 0 ? std::string()
-                   : node::SeparatorOf(Slice(next_pages[i].first)).ToString();
-      }
-      // Strip the separator of the first row of each page.
-      for (auto& [first, pid] : next_pages) {
-        PageRef ref;
-        OIR_RETURN_IF_ERROR(bm_->Fetch(pid, &ref));
-        ref.latch().LockX();
-        SlottedPage sp(ref.data(), bm_->page_size());
-        if (sp.nslots() > 0) {
-          PageId child = node::ChildOf(sp.Get(0));
-          if (!node::SeparatorOf(sp.Get(0)).empty()) {
-            tree_->LogDelete(op, &ref, 0, level);
-            tree_->LogInsert(op, &ref, 0, node::MakeNonLeafRow(child, Slice()),
-                             level);
-          }
-        }
-        ref.latch().UnlockX();
-      }
-      level_pages = std::move(next_pages);
-    }
+    s = build_level(parent_rows, level, &next_pages);
+    level_pages = std::move(next_pages);
   }
   if (s.ok() && level_pages.empty()) {
     // Empty index: a fresh empty root leaf.

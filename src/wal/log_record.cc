@@ -112,6 +112,11 @@ bool LogRecord::IsPageUpdate() const {
 }
 
 void LogRecord::EncodeTo(std::string* dst) const {
+  if (type == LogType::kBatchInsert || type == LogType::kBatchDelete) {
+    size_t n = 64;  // grow once: header, counts, each row and its length
+    for (const Slice& r : rows) n += r.size() + 5;
+    dst->reserve(dst->size() + n);
+  }
   // Fixed header. The sizes here determine the per-record overhead that the
   // paper's batching amortizes; see Section 4.3.
   dst->push_back(static_cast<char>(type));
@@ -134,7 +139,7 @@ void LogRecord::EncodeTo(std::string* dst) const {
       PutFixed16(dst, level);
       PutFixed16(dst, pos);
       PutVarint32(dst, static_cast<uint32_t>(rows.size()));
-      for (const std::string& r : rows) PutLengthPrefixedSlice(dst, r);
+      for (const Slice& r : rows) PutLengthPrefixedSlice(dst, r);
       break;
     case LogType::kKeyCopy:
     case LogType::kKeyCopyUndo:
@@ -229,13 +234,15 @@ Status LogRecord::DecodeFrom(Slice input, LogRecord* rec) {
       rec->pos = v16;
       uint32_t n;
       if (!GetVarint32(&input, &n)) return Status::Corruption("nrows");
-      rec->rows.reserve(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        Slice r;
-        if (!GetLengthPrefixedSlice(&input, &r)) {
+      // One copy of the row bytes; the rows are slices of it.
+      rec->row_bytes =
+          std::make_shared<const std::string>(input.data(), input.size());
+      Slice owned(*rec->row_bytes);
+      rec->rows.resize(n);
+      for (Slice& r : rec->rows) {
+        if (!GetLengthPrefixedSlice(&owned, &r)) {
           return Status::Corruption("batch row");
         }
-        rec->rows.push_back(r.ToString());
       }
       break;
     }

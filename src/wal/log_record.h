@@ -36,6 +36,7 @@
 // rollback, per ARIES.
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -137,7 +138,10 @@ struct LogRecord {
   // ---- type-specific payload ----
   SlotId pos = 0;                  // kInsert/kDelete and first slot of batches
   std::string row;                 // kInsert/kDelete row image
-  std::vector<std::string> rows;   // kBatchInsert/kBatchDelete row images
+  // kBatchInsert/kBatchDelete row images: bytes a writer keeps alive until
+  // Append returns, or in a decoded record `row_bytes`, shared by copies.
+  std::vector<Slice> rows;
+  std::shared_ptr<const std::string> row_bytes;
   std::vector<KeyCopyEntry> copies;  // kKeyCopy / kKeyCopyUndo
   uint16_t level = 0;              // page level for row records / kFormatPage
   std::vector<PageId> pages;       // kAlloc/kDealloc/kFreePage page list

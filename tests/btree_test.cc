@@ -35,13 +35,13 @@ TEST(KeyTest, RowIdBreaksTiesInOrder) {
 
 TEST(KeyTest, SeparatorIsShortestAndOrdered) {
   // Differ at first byte: one-byte separator.
-  std::string s = MakeSeparator(Slice("apple"), Slice("banana"));
+  std::string s = MakeSeparator(Slice("apple"), Slice("banana")).ToString();
   EXPECT_EQ(s, "b");
   // Shared prefix.
-  s = MakeSeparator(Slice("abcX"), Slice("abcZ"));
+  s = MakeSeparator(Slice("abcX"), Slice("abcZ")).ToString();
   EXPECT_EQ(s, "abcZ");  // prefix through the differing byte
   // left is a proper prefix of right.
-  s = MakeSeparator(Slice("abc"), Slice("abcdef"));
+  s = MakeSeparator(Slice("abc"), Slice("abcdef")).ToString();
   EXPECT_EQ(s, "abcd");
   // Invariants: left < s <= right.
   EXPECT_LT(Slice("abc").compare(Slice(s)), 0);
@@ -53,7 +53,7 @@ TEST(KeyTest, SeparatorShortensWideKeys) {
   // with diverging early bytes yield very short separators.
   std::string left = "customer-000123" + std::string(25, 'x');
   std::string right = "customer-000124" + std::string(25, 'x');
-  std::string s = MakeSeparator(Slice(left), Slice(right));
+  Slice s = MakeSeparator(Slice(left), Slice(right));
   EXPECT_LE(s.size(), 16u);
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <thread>
 
@@ -848,6 +849,103 @@ TEST(RebuildFigure2Test, UpdatePlusInsertEntriesFromOneSource) {
   ASSERT_OK(db->tree()->Validate(&stats));
   EXPECT_EQ(stats.num_keys, 60u);
   EXPECT_GE(res.new_leaf_pages, res.old_leaf_pages);
+  ExpectInvariants(db.get());
+}
+
+// Section 5.5 moves new rows into the open left page L while the parent P,
+// L's right neighbour, is X-latched. Waiting for L there would latch right
+// to left, against the Section 6.5 order that readers routing through a
+// side entry (L, then its right sibling) follow, so the rebuild only tries
+// L's latch and skips the move when L is busy. Here a helper S-latches L
+// at the rebuild.propagate.group point of the group that would move rows
+// into it. The helper lets go once the rebuild has moved on (it appends
+// its next log record) or after 5 s; the rebuild must move on. (It cannot
+// run to its end meanwhile: ending the top action clears L's SPLIT bit
+// under L's X latch, with no other latch held.)
+TEST(RebuildFigure2Test, OpenLeftMoveSkipsABusyLeftPage) {
+  auto db = MakeDb(/*page_size=*/512);
+  std::vector<uint64_t> ids;
+  for (uint64_t i = 0; i < 1200; ++i) ids.push_back(i);
+  test::InsertMany(db.get(), ids, /*width=*/20);
+
+  // L is the leftmost level-1 page. Rebuilding exactly its m children in
+  // the first top action makes L the open left page (PP's parent) of the
+  // second, whose first group deletes the first child of L's right
+  // neighbour and inserts the new leaves: the Section 5.5 move.
+  BufferManager* bm = db->buffer_manager();
+  PageId left = kInvalidPageId;
+  uint32_t m = 0;
+  {
+    PageRef root;
+    ASSERT_OK(bm->Fetch(db->tree()->root(), &root));
+    ASSERT_EQ(root.header()->level, 2) << "the layout needs three levels";
+    left = node::ChildOf(SlottedPage(root.data(), 512).Get(0));
+    PageRef lref;
+    ASSERT_OK(bm->Fetch(left, &lref));
+    m = SlottedPage(lref.data(), 512).nslots();
+  }
+
+  std::atomic<int> helper_state{0};  // 1: latch L, 2: L latched
+  std::atomic<bool> rebuild_returned{false};
+  std::atomic<bool> timed_out{false};
+  std::thread helper([&] {
+    while (helper_state.load() != 1 && !rebuild_returned.load()) {
+      std::this_thread::yield();
+    }
+    if (rebuild_returned.load()) return;
+    PageRef lref;
+    ASSERT_OK(bm->Fetch(left, &lref));
+    lref.latch().LockS();
+    const uint64_t records = GlobalCounters::Get().log_records.load();
+    helper_state.store(2);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (GlobalCounters::Get().log_records.load() == records &&
+           !rebuild_returned.load()) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        timed_out.store(true);
+        break;
+      }
+      std::this_thread::yield();
+    }
+    lref.latch().UnlockS();
+  });
+
+  auto& reg = fault::CrashPointRegistry::Get();
+  fault::CrashPointRegistry::SetEnabled(true);
+  reg.ResetCounts();
+  bool armed = false;
+  RebuildOptions opts;
+  opts.ntasize = m;
+  opts.reorganize_level1 = true;
+  opts.on_progress = [&](const obs::RebuildProgress& p) {
+    if (armed || p.top_actions != 1) return;
+    armed = true;
+    uint64_t groups = 0;
+    for (const auto& [name, hits] : reg.Snapshot()) {
+      if (name == "rebuild.propagate.group") groups = hits;
+    }
+    reg.Arm("rebuild.propagate.group", groups, [&] {
+      helper_state.store(1);
+      while (helper_state.load() != 2) std::this_thread::yield();
+    });
+  };
+  RebuildResult res;
+  Status s = db->index()->RebuildOnline(opts, &res);
+  rebuild_returned.store(true);
+  helper.join();
+  const bool fired = reg.triggered();
+  reg.Disarm();
+  fault::CrashPointRegistry::SetEnabled(false);
+
+  ASSERT_OK(s);
+  EXPECT_TRUE(fired);
+  EXPECT_FALSE(timed_out.load())
+      << "the rebuild waited for the open left page while latching its "
+         "right neighbour";
+  TreeStats stats;
+  ASSERT_OK(db->tree()->Validate(&stats));
+  EXPECT_EQ(stats.num_keys, ids.size());
   ExpectInvariants(db.get());
 }
 
