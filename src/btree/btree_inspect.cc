@@ -166,8 +166,6 @@ Status BTree::Validate(TreeStats* stats) const {
   return Status::OK();
 }
 
-Status BTree::CollectStats(TreeStats* stats) const { return Validate(stats); }
-
 namespace {
 void AppendPrintable(const Slice& s, std::string* out) {
   for (size_t i = 0; i < s.size(); ++i) {

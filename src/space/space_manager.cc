@@ -65,50 +65,42 @@ Status SpaceManager::Allocate(TxnContext* ctx, PageId* out) {
 Status SpaceManager::AllocateChunk(TxnContext* ctx, uint32_t n,
                                    std::vector<PageId>* out) {
   OIR_CHECK(n >= 1);
-  PageId first;
-  {
-    MutexLock l(mu_);
-    OIR_RETURN_IF_ERROR(ReserveRunLocked(n, &first));
-    for (uint32_t i = 0; i < n; ++i) {
-      states_[first + i - first_data_page_] = PageState::kAllocated;
-    }
-  }
-  OIR_CRASH_POINT("space.alloc.state");
   out->clear();
   out->reserve(n);
   LogRecord rec;
   rec.type = LogType::kAlloc;
-  for (uint32_t i = 0; i < n; ++i) {
-    rec.pages.push_back(first + i);
-    out->push_back(first + i);
+  {
+    // The record is appended under mu_, like every logged state change: a
+    // checkpoint's snapshot of the states (also under mu_) then either
+    // misses the change, whose record comes after its scan start, or sees
+    // it, whose record comes before the checkpoint record.
+    MutexLock l(mu_);
+    PageId first;
+    OIR_RETURN_IF_ERROR(ReserveRunLocked(n, &first));
+    for (uint32_t i = 0; i < n; ++i) {
+      states_[first + i - first_data_page_] = PageState::kAllocated;
+      rec.pages.push_back(first + i);
+      out->push_back(first + i);
+    }
+    OIR_CRASH_POINT("space.alloc.state");
+    log_->Append(&rec, ctx);
   }
-  log_->Append(&rec, ctx);
   OIR_CRASH_POINT("space.alloc.logged");
   return Status::OK();
 }
 
 Status SpaceManager::Deallocate(TxnContext* ctx, PageId page) {
-  {
-    MutexLock l(mu_);
-    OIR_CHECK(page >= first_data_page_ &&
-              page - first_data_page_ < states_.size());
-    PageState& s = states_[page - first_data_page_];
-    OIR_CHECK(s == PageState::kAllocated);
-    s = PageState::kDeallocated;
-  }
-  OIR_CRASH_POINT("space.dealloc.state");
-  LogRecord rec;
-  rec.type = LogType::kDealloc;
-  rec.pages.push_back(page);
-  log_->Append(&rec, ctx);
-  OIR_CRASH_POINT("space.dealloc.logged");
-  return Status::OK();
+  return DeallocateBatch(ctx, {page});
 }
 
 Status SpaceManager::DeallocateBatch(TxnContext* ctx,
                                      const std::vector<PageId>& pages) {
+  // One record per 256-page allocation unit (ASE-style allocation pages).
+  constexpr PageId kUnit = 256;
+  std::map<PageId, std::vector<PageId>> by_unit;
+  for (PageId page : pages) by_unit[page / kUnit].push_back(page);
   {
-    MutexLock l(mu_);
+    MutexLock l(mu_);  // appended under mu_: see AllocateChunk
     for (PageId page : pages) {
       OIR_CHECK(page >= first_data_page_ &&
                 page - first_data_page_ < states_.size());
@@ -116,18 +108,14 @@ Status SpaceManager::DeallocateBatch(TxnContext* ctx,
       OIR_CHECK(s == PageState::kAllocated);
       s = PageState::kDeallocated;
     }
-  }
-  OIR_CRASH_POINT("space.dealloc.state");
-  // One record per 256-page allocation unit (ASE-style allocation pages).
-  constexpr PageId kUnit = 256;
-  std::map<PageId, std::vector<PageId>> by_unit;
-  for (PageId page : pages) by_unit[page / kUnit].push_back(page);
-  for (auto& [unit, list] : by_unit) {
-    (void)unit;
-    LogRecord rec;
-    rec.type = LogType::kDealloc;
-    rec.pages = list;
-    log_->Append(&rec, ctx);
+    OIR_CRASH_POINT("space.dealloc.state");
+    for (auto& [unit, list] : by_unit) {
+      (void)unit;
+      LogRecord rec;
+      rec.type = LogType::kDealloc;
+      rec.pages = list;
+      log_->Append(&rec, ctx);
+    }
   }
   OIR_CRASH_POINT("space.dealloc.logged");
   return Status::OK();

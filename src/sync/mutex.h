@@ -51,12 +51,6 @@ class OIR_CAPABILITY("mutex") Mutex {
     mu_.unlock();
   }
 
-  bool TryLock() OIR_TRY_ACQUIRE(true) {
-    if (!mu_.try_lock()) return false;
-    SetHolder();
-    return true;
-  }
-
   // Aborts unless the calling thread holds this mutex. The static analysis
   // treats the capability as held from the assertion on.
   void AssertHeld() const OIR_ASSERT_CAPABILITY() {
@@ -96,19 +90,9 @@ class OIR_CAPABILITY("shared_mutex") SharedMutex {
     mu_.unlock();
   }
 
-  bool TryLock() OIR_TRY_ACQUIRE(true) {
-    if (!mu_.try_lock()) return false;
-    SetHolder();
-    return true;
-  }
-
   void LockShared() OIR_ACQUIRE_SHARED() { mu_.lock_shared(); }
 
   void UnlockShared() OIR_RELEASE_SHARED() { mu_.unlock_shared(); }
-
-  bool TryLockShared() OIR_TRY_ACQUIRE_SHARED(true) {
-    return mu_.try_lock_shared();
-  }
 
   // Aborts unless the calling thread holds this mutex exclusively.
   void AssertHeld() const OIR_ASSERT_CAPABILITY() {

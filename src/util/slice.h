@@ -8,7 +8,6 @@
 #include <cassert>
 #include <cstring>
 #include <string>
-#include <string_view>
 
 namespace oir {
 
@@ -40,9 +39,6 @@ class Slice {
   }
 
   std::string ToString() const { return std::string(data_, size_); }
-  std::string_view ToStringView() const {
-    return std::string_view(data_, size_);
-  }
 
   // Three-way comparison: <0, ==0, >0 as in memcmp.
   int compare(const Slice& b) const {
