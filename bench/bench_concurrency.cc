@@ -1,6 +1,6 @@
 // Section 6.2: the online rebuild restricts access only to the affected
 // pages, so OLTP continues while it runs — unlike the drop-and-recreate
-// baseline, which takes an exclusive table lock.
+// baseline, which shuts every point operation out for its duration.
 //
 // Method: reader and writer threads run an OLTP mix continuously. For each
 // scenario we measure throughput strictly INSIDE the rebuild window:
@@ -12,8 +12,7 @@
 // bits.
 //
 // The I/O-path sweep then re-runs the online scenario while varying one
-// knob at a time — buffer-pool shard count, WAL group commit, rebuild
-// read-ahead — and records every window in BENCH_io_path.json together
+// knob at a time — WAL group commit, rebuild read-ahead — and records every window in BENCH_io_path.json together
 // with the pool and WAL counters captured inside it.
 
 #include <atomic>
@@ -35,7 +34,6 @@ namespace {
 // otherwise.
 struct Config {
   std::string name;
-  size_t shards = 0;        // DbOptions::buffer_pool_shards; 0 = auto
   bool prefetch = true;     // RebuildOptions::prefetch
   bool file_wal = false;    // back the WAL with a file (real fsyncs; file
                             // logs always group-commit)
@@ -71,7 +69,6 @@ WindowResult RunScenario(const Config& cfg, uint64_t n, int oltp_threads,
                          int mode, uint64_t baseline_window_ms) {
   DbOptions dopts;
   dopts.buffer_pool_pages = 1 << 15;
-  dopts.buffer_pool_shards = cfg.shards;
   if (cfg.file_wal) dopts.log_path = kFileWalPath;
   auto db = OpenDbOpts(dopts);
   if (cfg.group_commit) db->log_manager()->EnableGroupCommit();
@@ -287,16 +284,10 @@ int Main(int argc, char** argv) {
 
   std::vector<std::pair<Config, WindowResult>> sweep_results;
   if (sweep) {
-    // One knob at a time, relative to the default (shards auto, prefetch
-    // on, in-memory WAL with synchronous flush). The file-WAL row pays
-    // real fsyncs through the group-commit pipeline.
+    // One knob at a time, relative to the default (prefetch on, in-memory
+    // WAL with synchronous flush). The file-WAL row pays real fsyncs
+    // through the group-commit pipeline.
     std::vector<Config> configs;
-    for (size_t s : {1u, 2u, 4u}) {
-      Config c;
-      c.name = "shards-" + std::to_string(s);
-      c.shards = s;
-      configs.push_back(c);
-    }
     {
       Config c;
       c.name = "prefetch-off";

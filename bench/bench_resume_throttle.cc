@@ -58,7 +58,7 @@ Window RunWindow(uint64_t n, int mode, uint32_t degradation_pct,
   Histogram latency;
   std::thread fg([&] {
     Random rnd(42);
-    // One long read transaction: Lookup's table lock is instant-duration,
+    // One long read transaction: Lookup takes no transaction-duration lock,
     // and per-op commits would put the group-commit wait — not the
     // rebuild's interference — at the top of every percentile.
     auto txn = db->BeginTxn();

@@ -516,8 +516,10 @@ Status BTree::InsertComposite(OpCtx op, const Slice& composite) {
       return Status::OK();
     }
     // Full: split (a nested top action), then retry the insert — the row
-    // insert must stay outside the NTA so rollback can compensate it.
-    OIR_RETURN_IF_ERROR(LeafSplit(op, std::move(leaf), &path));
+    // insert must stay outside the NTA so rollback can compensate it. Busy:
+    // the leaf was locked by another top action, which has now ended.
+    Status split = LeafSplit(op, std::move(leaf), &path);
+    if (!split.ok() && !split.IsBusy()) return split;
   }
 }
 

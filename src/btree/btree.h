@@ -209,7 +209,10 @@ class BTree : public LogicalUndoHook {
   // row that triggered the split is NOT inserted here: structure
   // modification is a nested top action that survives transaction
   // rollback, while the row insert must remain undoable, so the caller
-  // retries the insert after the split completes (ARIES/IM style).
+  // retries the insert after the split completes (ARIES/IM style). Busy
+  // means another top action held the leaf's address lock: the split
+  // waited for it to end without holding the latch, and the caller
+  // retraverses.
   Status LeafSplit(OpCtx op, PageRef leaf, Path* path);
 
   // Inserts [sep -> child_new] at `level`, splitting upward as needed.

@@ -42,15 +42,22 @@ Status BTree::LeafSplit(OpCtx op, PageRef leaf, Path* path) {
   BeginNta(op, &nta);
   const PageId p0 = leaf.id();
 
-  // X address lock + SPLIT bit on the old page (Section 2.2). We hold its
-  // X latch and it is bit-free, so an unconditional request while latched
-  // is allowed by the Section 6.5 rules.
+  // X address lock + SPLIT bit on the old page (Section 2.2). The page is
+  // bit-free, but the rebuild locks a batch's pages before it latches them
+  // to set their bits, so the lock may be held: ask conditionally, and
+  // never wait for it while holding the latch. On Busy, drop the latch,
+  // wait for the holder without retaining the lock, and let the caller
+  // retraverse.
   Status s = locks_->Lock(op.id, AddressLockKey(p0), LockMode::kX,
-                          /*conditional=*/false);
+                          /*conditional=*/true);
   if (!s.ok()) {
     leaf.latch().UnlockX();
+    leaf.Release();
     ReleaseNtaResources(op, &nta);
-    return s;
+    if (!s.IsBusy()) return s;
+    OIR_RETURN_IF_ERROR(locks_->LockInstant(
+        op.id, AddressLockKey(p0), LockMode::kS, /*conditional=*/false));
+    return Status::Busy("leaf locked by a top action");
   }
   nta.locked.push_back(p0);
   leaf.header()->flags |= kFlagSplit;

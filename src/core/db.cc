@@ -95,8 +95,7 @@ Status Db::BuildStack(bool truncate_files) {
     log_ = std::make_unique<LogManager>(WalOptionsFrom(options));
   }
 
-  bm_ = std::make_unique<BufferManager>(
-      disk_.get(), options.buffer_pool_pages, options.buffer_pool_shards);
+  bm_ = std::make_unique<BufferManager>(disk_.get(), options.buffer_pool_pages);
   bm_->SetLogFlusher(log_.get());
   bm_->StartWriteBack();
   locks_ = std::make_unique<LockManager>();

@@ -9,58 +9,31 @@ namespace oir {
 Index::Index(BTree* tree, TransactionManager* tm, BufferManager* bm,
              LogManager* log, LockManager* locks, SpaceManager* space,
              RebuildJournal* journal)
-    : tree_(tree), tm_(tm), bm_(bm), log_(log), locks_(locks),
-      space_(space),
+    : tree_(tree), tm_(tm), bm_(bm), space_(space),
       rebuilder_(tree, tm, bm, log, locks, space, journal) {}
 
-namespace {
-
-// Holds the table lock in `mode` for the duration of one operation.
-class TableLockGuard {
- public:
-  TableLockGuard(LockManager* locks, TxnId owner, LockKey key, LockMode mode)
-      : locks_(locks), owner_(owner), key_(key), ok_(false) {
-    ok_ = locks_->Lock(owner_, key_, mode, /*conditional=*/false).ok();
-  }
-  ~TableLockGuard() {
-    if (ok_) locks_->Unlock(owner_, key_);
-  }
-  bool ok() const { return ok_; }
-
- private:
-  LockManager* locks_;
-  TxnId owner_;
-  LockKey key_;
-  bool ok_;
-};
-
-}  // namespace
-
+// Row locks are taken before the gate: an operation inside the gate never
+// waits on a transaction-duration lock, so the offline rebuild's drain
+// cannot wait behind another transaction.
 Status Index::Insert(Transaction* txn, const Slice& key, RowId rid) {
   obs::OpScope op(obs::OpType::kWrite);
-  TableLockGuard table(locks_, txn->id(), LogicalLockKey(kTableLockId),
-                       LockMode::kS);
-  if (!table.ok()) return Status::Aborted("table lock timeout");
   // Row-level logical lock (Section 2), held to transaction end.
   OIR_RETURN_IF_ERROR(tm_->LockLogical(txn, rid, LockMode::kX));
+  GatePass pass(gate_);
   return tree_->Insert(OpCtx{txn->id(), txn->ctx()}, key, rid);
 }
 
 Status Index::Delete(Transaction* txn, const Slice& key, RowId rid) {
   obs::OpScope op(obs::OpType::kWrite);
-  TableLockGuard table(locks_, txn->id(), LogicalLockKey(kTableLockId),
-                       LockMode::kS);
-  if (!table.ok()) return Status::Aborted("table lock timeout");
   OIR_RETURN_IF_ERROR(tm_->LockLogical(txn, rid, LockMode::kX));
+  GatePass pass(gate_);
   return tree_->Delete(OpCtx{txn->id(), txn->ctx()}, key, rid);
 }
 
 Status Index::Lookup(Transaction* txn, const Slice& key, RowId rid,
                      bool* found) {
   obs::OpScope op(obs::OpType::kRead);
-  TableLockGuard table(locks_, txn->id(), LogicalLockKey(kTableLockId),
-                       LockMode::kS);
-  if (!table.ok()) return Status::Aborted("table lock timeout");
+  GatePass pass(gate_);
   return tree_->Lookup(OpCtx{txn->id(), txn->ctx()}, key, rid, found);
 }
 
@@ -75,26 +48,22 @@ std::unique_ptr<LockingCursor> Index::NewLockingCursor(Transaction* txn) {
 Status Index::RebuildOnline(const RebuildOptions& options,
                             RebuildResult* result,
                             const RebuildProgressInfo* resume) {
-  // No table lock, no logical locks — the whole point of the paper.
+  // No gate, no logical locks — the whole point of the paper.
   return rebuilder_.Run(options, result, resume);
 }
 
 Status Index::RebuildOffline(RebuildResult* result) {
-  // Drop-and-recreate baseline: exclusive table lock for the duration, the
-  // behavior the paper's introduction describes as unacceptable for OLTP.
+  // Drop-and-recreate baseline: every point operation is shut out for the
+  // duration, the behavior the paper's introduction describes as
+  // unacceptable for OLTP. The gate reopens when this function returns,
+  // after the commit.
   *result = RebuildResult();
+  GateClosed closed(gate_);
   std::unique_ptr<Transaction> txn = tm_->Begin();
   OpCtx op{txn->id(), txn->ctx()};
 
-  Status s = locks_->Lock(txn->id(), LogicalLockKey(kTableLockId),
-                          LockMode::kX, /*conditional=*/false);
-  if (!s.ok()) {
-    (void)tm_->Abort(txn.get());  // already propagating the first error
-    return s;
-  }
-  txn->TrackLock(LogicalLockKey(kTableLockId));
-
   // Collect every row and every page of the old tree.
+  Status s;
   std::vector<std::string> rows;
   std::vector<PageId> old_pages;
   {

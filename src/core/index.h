@@ -7,8 +7,8 @@
 //
 //  * RebuildOnline  — the paper's algorithm; OLTP continues concurrently.
 //  * RebuildOffline — the drop-and-recreate baseline the paper's
-//    introduction argues against: it holds an exclusive table lock for the
-//    duration, blocking every reader and writer.
+//    introduction argues against: it closes the index's gate for the
+//    duration, blocking every point lookup, insert and delete.
 
 #include <memory>
 
@@ -16,6 +16,7 @@
 #include "btree/cursor.h"
 #include "core/options.h"
 #include "core/rebuild.h"
+#include "sync/gate.h"
 #include "txn/transaction_manager.h"
 
 namespace oir {
@@ -69,7 +70,7 @@ class Index {
   Index(const Index&) = delete;
   Index& operator=(const Index&) = delete;
 
-  // ---- data operations (row-locking, table-IS-locked) ----
+  // ---- data operations (row-locking, passing the gate) ----
   Status Insert(Transaction* txn, const Slice& key, RowId rid);
   Status Delete(Transaction* txn, const Slice& key, RowId rid);
   Status Lookup(Transaction* txn, const Slice& key, RowId rid, bool* found);
@@ -94,17 +95,14 @@ class Index {
   BTree* tree() { return tree_; }
 
  private:
-  // The "table lock": data operations take it shared for their duration;
-  // the offline rebuild takes it exclusive. The online rebuild does not
-  // touch it — that is the point of the paper.
-  static constexpr RowId kTableLockId = ~0ull;
-
   BTree* const tree_;
   TransactionManager* const tm_;
   BufferManager* const bm_;
-  LogManager* const log_;
-  LockManager* const locks_;
   SpaceManager* const space_;
+  // Point operations pass it; the offline rebuild closes it for its
+  // duration. The online rebuild does not touch it — that is the point of
+  // the paper.
+  Gate gate_;
   // Lives as long as the index, so its progress tracker outlives every
   // stats reader.
   OnlineRebuilder rebuilder_;

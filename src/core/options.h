@@ -23,11 +23,6 @@ struct DbOptions {
   // Buffer pool capacity in pages.
   size_t buffer_pool_pages = 4096;
 
-  // Buffer pool partitions (power of two). 0 picks automatically from the
-  // pool size (one shard per 16 frames, at most 8). 1 restores the single
-  // global-mutex pool for ablation.
-  size_t buffer_pool_shards = 0;
-
   // ---- write-ahead log ----
   // File-backed logs always group-commit through the pipelined durable
   // path: the WAL tail is carved into segments that a dedicated sealer

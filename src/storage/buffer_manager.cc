@@ -32,11 +32,77 @@ void PageRef::MarkDirty() {
 
 void PageRef::Release() {
   if (bm_ != nullptr) {
+    OIR_DCHECK(bm_->frames_[frame_].page_id.load() == id_);
     bm_->Unpin(frame_, id_);
     bm_ = nullptr;
     frame_ = SIZE_MAX;
     id_ = kInvalidPageId;
   }
+}
+
+BufferManager::PageTable::PageTable(size_t frames) {
+  size_t capacity = 2;
+  int bits = 1;
+  while (capacity < 2 * frames) {
+    capacity *= 2;
+    ++bits;
+  }
+  slots_.reset(new std::atomic<uint64_t>[capacity]);
+  for (size_t i = 0; i < capacity; ++i) {
+    slots_[i].store(0, std::memory_order_relaxed);
+  }
+  mask_ = capacity - 1;
+  shift_ = 64 - bits;
+}
+
+size_t BufferManager::PageTable::Find(PageId id) const {
+  size_t i = Home(id);
+  for (size_t probes = 0; probes <= mask_; ++probes) {
+    const uint64_t e = slots_[i].load(std::memory_order_relaxed);
+    if (e == 0) return kNone;
+    if (static_cast<PageId>(e >> 32) == id) return e & 0xffffffffu;
+    i = (i + 1) & mask_;
+  }
+  return kNone;
+}
+
+void BufferManager::PageTable::Insert(PageId id, size_t frame) {
+  OIR_DCHECK(2 * size_ < mask_ + 1);
+  size_t i = Home(id);
+  while (slots_[i].load(std::memory_order_relaxed) != 0) i = (i + 1) & mask_;
+  slots_[i].store((static_cast<uint64_t>(id) << 32) | frame,
+                  std::memory_order_relaxed);
+  ++size_;
+}
+
+void BufferManager::PageTable::Erase(PageId id) {
+  size_t i = Home(id);
+  for (;;) {
+    const uint64_t e = slots_[i].load(std::memory_order_relaxed);
+    OIR_CHECK(e != 0);
+    if (static_cast<PageId>(e >> 32) == id) break;
+    i = (i + 1) & mask_;
+  }
+  // Backward shift: pull each later entry of the probe run into the hole
+  // unless its home lies cyclically in (hole, its slot].
+  for (size_t j = (i + 1) & mask_;; j = (j + 1) & mask_) {
+    const uint64_t e = slots_[j].load(std::memory_order_relaxed);
+    if (e == 0) break;
+    const size_t home = Home(static_cast<PageId>(e >> 32));
+    if (((j - home) & mask_) >= ((j - i) & mask_)) {
+      slots_[i].store(e, std::memory_order_relaxed);
+      i = j;
+    }
+  }
+  slots_[i].store(0, std::memory_order_relaxed);
+  --size_;
+}
+
+void BufferManager::PageTable::Clear() {
+  for (size_t i = 0; i <= mask_; ++i) {
+    slots_[i].store(0, std::memory_order_relaxed);
+  }
+  size_ = 0;
 }
 
 BufferManager::BufferManager(Disk* disk, size_t pool_frames, size_t shards)
@@ -50,16 +116,16 @@ BufferManager::BufferManager(Disk* disk, size_t pool_frames, size_t shards)
   }
   OIR_CHECK((shards & (shards - 1)) == 0 && shards <= pool_frames / 4);
   shard_mask_ = static_cast<uint32_t>(shards - 1);
-  frames_.resize(pool_frames);
+  frames_.reset(new Frame[pool_frames]);
+  pool_frames_ = pool_frames;
   for (size_t i = 0; i < pool_frames; ++i) {
     frames_[i].data.reset(new char[page_size_]);
   }
-  shards_.resize(shards);
   size_t next = 0;
   for (size_t s = 0; s < shards; ++s) {
-    Shard& sh = shards_[s];
+    const size_t extra = s < pool_frames % shards ? 1 : 0;
+    Shard& sh = shards_.emplace_back(pool_frames / shards + extra);
     sh.start = next;
-    sh.count = pool_frames / shards + (s < pool_frames % shards ? 1 : 0);
     next += sh.count;
     sh.free_list.reserve(sh.count);
     for (size_t i = 0; i < sh.count; ++i) {
@@ -71,24 +137,55 @@ BufferManager::BufferManager(Disk* disk, size_t pool_frames, size_t shards)
 
 BufferManager::~BufferManager() {
   StopWriteBack();
-#ifndef NDEBUG
-  for (Shard& sh : shards_) {
-    MutexLock l(sh.mu);
-    for (size_t i = sh.start; i < sh.start + sh.count; ++i) {
-      OIR_DCHECK(frames_[i].pin_count == 0);
-    }
-  }
-#endif
+  OIR_DCHECK(PinnedFrames() == 0);
 }
 
 void BufferManager::Unpin(size_t frame, PageId id) {
-  Shard& sh = ShardOf(id);
-  MutexLock l(sh.mu);
   Frame& f = frames_[frame];
-  OIR_CHECK(f.page_id == id && f.pin_count > 0);
-  --f.pin_count;
-  f.ref = true;
-  if (f.pin_count == 0) NotifyAll(sh);
+  const uint32_t prev = f.state.fetch_sub(1, std::memory_order_release);
+  OIR_CHECK((prev & kPinMask) != 0);
+  if ((prev & (kWaiter | kPinMask)) == (kWaiter | 1)) {
+    // The frame never changes shards, and `id` maps to it: its shard.
+    Shard& sh = ShardOf(id);
+    MutexLock l(sh.mu);
+    NotifyAll(sh);
+  }
+}
+
+bool BufferManager::TryPin(size_t frame, PageId id) {
+  Frame& f = frames_[frame];
+  uint32_t s = f.state.load(std::memory_order_relaxed);
+  do {
+    if ((s & (kLoading | kClaimed)) != 0) return false;
+  } while (!f.state.compare_exchange_weak(s, s + 1, std::memory_order_acquire,
+                                          std::memory_order_relaxed));
+  // The pin keeps the frame from being claimed, so page_id is stable now;
+  // the acquire above orders this read after the mapping's last change.
+  if (f.page_id.load(std::memory_order_relaxed) != id) {
+    Unpin(frame, id);
+    return false;
+  }
+  if (!f.ref.load(std::memory_order_relaxed)) {
+    f.ref.store(true, std::memory_order_relaxed);
+  }
+  return true;
+}
+
+bool BufferManager::Claim(Frame& f) {
+  uint32_t s = f.state.load(std::memory_order_relaxed);
+  if ((s & ~kWaiter) != 0) return false;
+  return f.state.compare_exchange_strong(s, kClaimed,
+                                         std::memory_order_acquire);
+}
+
+bool BufferManager::WaitForPins(Shard& sh, Frame& f) {
+  // WAITER is set before the pins are read again, so the unpin that takes
+  // the count to zero sees it and wakes us (it needs sh.mu to do so, which
+  // the wait releases).
+  const uint32_t s = f.state.fetch_or(kWaiter, std::memory_order_acq_rel);
+  if ((s & kPinMask) == 0) return false;
+  WaitOn(sh);
+  return true;
 }
 
 Status BufferManager::AllocateFrameLocked(Shard& sh, PageId for_page,
@@ -96,16 +193,16 @@ Status BufferManager::AllocateFrameLocked(Shard& sh, PageId for_page,
   auto& c = GlobalCounters::Get();
   for (;;) {
     if (!sh.free_list.empty()) {
+      // Free frames are CLAIMED: no hit can pin them while remapped.
       size_t idx = sh.free_list.back();
       sh.free_list.pop_back();
       Frame& f = frames_[idx];
       f.latch.Invalidate();
-      f.page_id = for_page;
-      f.pin_count = 1;
+      f.page_id.store(for_page, std::memory_order_relaxed);
       f.dirty.store(false, std::memory_order_relaxed);
-      f.loading = true;
-      f.ref = true;
-      sh.table[for_page] = idx;
+      f.ref.store(true, std::memory_order_relaxed);
+      f.state.store(kLoading | 1, std::memory_order_release);
+      sh.table.Insert(for_page, idx);
       *out_frame = idx;
       return Status::OK();
     }
@@ -125,14 +222,14 @@ Status BufferManager::AllocateFrameLocked(Shard& sh, PageId for_page,
       Frame& f = frames_[idx];
       sh.clock_hand = (sh.clock_hand + 1) % sh.count;
       ++scanned;
-      if (f.pin_count != 0 || f.loading) continue;
+      if ((f.state.load(std::memory_order_relaxed) & ~kWaiter) != 0) continue;
       const bool dirty = f.dirty.load(std::memory_order_acquire);
       if (dirty && async_wb && enqueued < 4) {
-        EnqueueWriteBack(f.page_id);
+        EnqueueWriteBack(f.page_id.load(std::memory_order_relaxed));
         ++enqueued;
       }
-      if (f.ref) {
-        f.ref = false;
+      if (f.ref.load(std::memory_order_relaxed)) {
+        f.ref.store(false, std::memory_order_relaxed);
         continue;
       }
       if (!dirty) {
@@ -145,41 +242,43 @@ Status BufferManager::AllocateFrameLocked(Shard& sh, PageId for_page,
     if (victim == SIZE_MAX) {
       return Status::NoSpace("buffer pool exhausted: all frames pinned");
     }
+    Frame& vf = frames_[victim];
+    // A hit may have pinned the victim since the scan read its state.
+    if (!Claim(vf)) continue;
     c.pool_evictions.fetch_add(1, std::memory_order_relaxed);
     OIR_CRASH_POINT("pool.evict");
-    Frame& vf = frames_[victim];
-    const PageId old_id = vf.page_id;
+    const PageId old_id = vf.page_id.load(std::memory_order_relaxed);
     // Claim the dirty bit before copying so a marker racing with the
     // write-back leaves the frame dirty again.
     const bool was_dirty = vf.dirty.exchange(false, std::memory_order_acquire);
-    vf.loading = true;  // protect from concurrent use during write-back
     if (was_dirty) {
+      // The claim keeps the frame from being pinned or remapped while the
+      // shard mutex is dropped.
       sh.mu.Unlock();
       Status s = WriteBack(victim);
       sh.mu.Lock();
       if (!s.ok()) {
         vf.dirty.store(true, std::memory_order_release);
-        vf.loading = false;
+        vf.state.store(0, std::memory_order_release);
         NotifyAll(sh);
         return s;
       }
-      if (sh.table.count(for_page) != 0) {
+      if (sh.table.Find(for_page) != PageTable::kNone) {
         // Another thread mapped `for_page` while we were writing back the
         // victim. Leave the (now clean) victim in place and tell the caller
         // to retry its lookup.
-        vf.loading = false;
+        vf.state.store(0, std::memory_order_release);
         NotifyAll(sh);
         return Status::Busy("fetch raced");
       }
     }
-    sh.table.erase(old_id);
+    sh.table.Erase(old_id);
     vf.latch.Invalidate();
-    vf.page_id = for_page;
-    vf.pin_count = 1;
+    vf.page_id.store(for_page, std::memory_order_relaxed);
     vf.dirty.store(false, std::memory_order_relaxed);
-    vf.loading = true;
-    vf.ref = true;
-    sh.table[for_page] = victim;
+    vf.ref.store(true, std::memory_order_relaxed);
+    vf.state.store(kLoading | 1, std::memory_order_release);
+    sh.table.Insert(for_page, victim);
     *out_frame = victim;
     NotifyAll(sh);  // wake fetchers of old_id so they retry
     return Status::OK();
@@ -213,19 +312,27 @@ Status BufferManager::Fetch(PageId id, PageRef* out) {
   OIR_CHECK(id != kInvalidPageId);
   auto& c = GlobalCounters::Get();
   Shard& sh = ShardOf(id);
+  // Hit path: no mutex.
+  const size_t hit = sh.table.Find(id);
+  if (hit != PageTable::kNone && TryPin(hit, id)) {
+    c.pool_hits.fetch_add(1, std::memory_order_relaxed);
+    *out = PageRef(this, hit, id);
+    return Status::OK();
+  }
   sh.mu.Lock();
   for (;;) {
-    auto it = sh.table.find(id);
-    if (it != sh.table.end()) {
-      Frame& f = frames_[it->second];
-      if (f.loading) {
+    const size_t idx = sh.table.Find(id);
+    if (idx != PageTable::kNone) {
+      Frame& f = frames_[idx];
+      if (f.InFlux()) {
         WaitOn(sh);
         continue;
       }
-      ++f.pin_count;
-      f.ref = true;
+      // The flags change only under the shard mutex: a plain pin is safe.
+      f.state.fetch_add(1, std::memory_order_acquire);
+      f.ref.store(true, std::memory_order_relaxed);
       c.pool_hits.fetch_add(1, std::memory_order_relaxed);
-      *out = PageRef(this, it->second, id);
+      *out = PageRef(this, idx, id);
       sh.mu.Unlock();
       return Status::OK();
     }
@@ -237,8 +344,8 @@ Status BufferManager::Fetch(PageId id, PageRef* out) {
       return alloc;
     }
     c.pool_misses.fetch_add(1, std::memory_order_relaxed);
-    // Frame is mapped to `id`, pinned once, loading=true. Do the read
-    // without the shard mutex.
+    // Frame is mapped to `id`, LOADING with our pin. Do the read without
+    // the shard mutex.
     sh.mu.Unlock();
     Status s;
     {
@@ -247,18 +354,18 @@ Status BufferManager::Fetch(PageId id, PageRef* out) {
     }
     sh.mu.Lock();
     Frame& f = frames_[frame];
-    f.loading = false;
-    NotifyAll(sh);
     if (!s.ok()) {
       // Undo: unmap and free the frame.
-      --f.pin_count;
-      OIR_CHECK(f.pin_count == 0);
-      sh.table.erase(id);
-      f.page_id = kInvalidPageId;
+      sh.table.Erase(id);
+      f.page_id.store(kInvalidPageId, std::memory_order_relaxed);
+      f.state.store(kClaimed, std::memory_order_relaxed);
       sh.free_list.push_back(frame);
+      NotifyAll(sh);
       sh.mu.Unlock();
       return s;
     }
+    f.state.store(1, std::memory_order_release);  // loaded; our pin stays
+    NotifyAll(sh);
     *out = PageRef(this, frame, id);
     sh.mu.Unlock();
     return Status::OK();
@@ -270,25 +377,22 @@ Status BufferManager::Create(PageId id, PageRef* out) {
   Shard& sh = ShardOf(id);
   MutexLock lk(sh.mu);
   for (;;) {
-    auto it = sh.table.find(id);
-    if (it != sh.table.end()) {
-      Frame& f = frames_[it->second];
-      if (f.loading) {
+    const size_t idx = sh.table.Find(id);
+    if (idx != PageTable::kNone) {
+      Frame& f = frames_[idx];
+      if (f.InFlux()) {
         WaitOn(sh);
         continue;
       }
       // Stale cached copy of a previously freed page: reuse the frame once
       // any lingering reader pins drain.
-      if (f.pin_count != 0) {
-        WaitOn(sh);
-        continue;
-      }
-      ++f.pin_count;
-      f.ref = true;
+      if (WaitForPins(sh, f) || !Claim(f)) continue;
+      f.ref.store(true, std::memory_order_relaxed);
       f.dirty.store(false, std::memory_order_relaxed);
       f.latch.Invalidate();
       std::memset(f.data.get(), 0, page_size_);
-      *out = PageRef(this, it->second, id);
+      f.state.store(1, std::memory_order_release);
+      *out = PageRef(this, idx, id);
       return Status::OK();
     }
     size_t frame;
@@ -297,7 +401,7 @@ Status BufferManager::Create(PageId id, PageRef* out) {
     OIR_RETURN_IF_ERROR(alloc);
     Frame& f = frames_[frame];
     std::memset(f.data.get(), 0, page_size_);
-    f.loading = false;
+    f.state.store(1, std::memory_order_release);
     NotifyAll(sh);
     *out = PageRef(this, frame, id);
     return Status::OK();
@@ -308,14 +412,13 @@ Status BufferManager::FlushPage(PageId id) {
   Shard& sh = ShardOf(id);
   sh.mu.Lock();
   for (;;) {
-    auto it = sh.table.find(id);
-    if (it == sh.table.end()) {
+    const size_t frame = sh.table.Find(id);
+    if (frame == PageTable::kNone) {
       sh.mu.Unlock();
       return Status::OK();
     }
-    size_t frame = it->second;
     Frame& f = frames_[frame];
-    if (f.loading || f.flushing) {
+    if (f.InFlux() || f.flushing) {
       WaitOn(sh);
       continue;  // frame may have been remapped while we waited
     }
@@ -323,14 +426,14 @@ Status BufferManager::FlushPage(PageId id) {
       sh.mu.Unlock();
       return Status::OK();
     }
-    ++f.pin_count;  // keep the frame stable during write-back
+    f.state.fetch_add(1, std::memory_order_acquire);  // stable during I/O
     f.flushing = true;
     sh.mu.Unlock();
     Status s = WriteBack(frame);
     sh.mu.Lock();
     if (!s.ok()) f.dirty.store(true, std::memory_order_release);
     f.flushing = false;
-    --f.pin_count;
+    f.state.fetch_sub(1, std::memory_order_release);
     NotifyAll(sh);  // wake pin- and flushing-claim waiters
     sh.mu.Unlock();
     return s;
@@ -341,8 +444,10 @@ Status BufferManager::FlushAll() {
   std::vector<PageId> ids;
   for (Shard& sh : shards_) {
     MutexLock l(sh.mu);
-    for (const auto& [id, frame] : sh.table) {
-      if (frames_[frame].dirty.load(std::memory_order_acquire)) {
+    for (size_t i = sh.start; i < sh.start + sh.count; ++i) {
+      const Frame& f = frames_[i];
+      const PageId id = f.page_id.load(std::memory_order_relaxed);
+      if (id != kInvalidPageId && f.dirty.load(std::memory_order_acquire)) {
         ids.push_back(id);
       }
     }
@@ -467,7 +572,7 @@ void BufferManager::WriteBackLoop() {
 
 Status BufferManager::FlushPages(const std::vector<PageId>& ids,
                                  uint32_t io_pages) {
-  if (io_pages < 1 || io_pages > frames_.size()) {
+  if (io_pages < 1 || io_pages > pool_frames_) {
     return Status::InvalidArgument("io_pages outside [1, pool_frames]");
   }
   std::vector<PageId> sorted(ids);
@@ -500,7 +605,7 @@ Status BufferManager::FlushPages(const std::vector<PageId>& ids,
           frames_[fidx].dirty.store(true, std::memory_order_release);
         }
         frames_[fidx].flushing = false;
-        --frames_[fidx].pin_count;
+        frames_[fidx].state.fetch_sub(1, std::memory_order_release);
         NotifyAll(csh);
       }
       claimed.clear();
@@ -512,13 +617,13 @@ Status BufferManager::FlushPages(const std::vector<PageId>& ids,
       sh.mu.Lock();
       size_t frame = SIZE_MAX;
       for (;;) {
-        auto it = sh.table.find(id);
-        if (it == sh.table.end()) break;
-        if (frames_[it->second].loading || frames_[it->second].flushing) {
+        const size_t idx = sh.table.Find(id);
+        if (idx == PageTable::kNone) break;
+        if (frames_[idx].InFlux() || frames_[idx].flushing) {
           WaitOn(sh);
           continue;  // re-find: frame may have been remapped
         }
-        frame = it->second;
+        frame = idx;
         break;
       }
       if (frame == SIZE_MAX) {
@@ -533,7 +638,8 @@ Status BufferManager::FlushPages(const std::vector<PageId>& ids,
         break;
       }
       Frame& fr = frames_[frame];
-      ++fr.pin_count;  // held with the claim until the run is written
+      // Pinned with the claim until the run is written.
+      fr.state.fetch_add(1, std::memory_order_acquire);
       fr.flushing = true;
       fr.dirty.store(false, std::memory_order_relaxed);  // claimed below
       sh.mu.Unlock();
@@ -574,7 +680,7 @@ Status BufferManager::FlushPages(const std::vector<PageId>& ids,
 
 Status BufferManager::Prefetch(PageId first, uint32_t count) {
   // Same guard as FlushPages' io_pages: the staged run must fit the pool.
-  if (count < 1 || count > frames_.size()) {
+  if (count < 1 || count > pool_frames_) {
     return Status::InvalidArgument("prefetch run outside [1, pool_frames]");
   }
   if (first == kInvalidPageId || first >= disk_->NumPages()) {
@@ -585,9 +691,9 @@ Status BufferManager::Prefetch(PageId first, uint32_t count) {
   count = std::min(count, disk_->NumPages() - first);
 
   // Reserve frames for the non-resident pages BEFORE touching the disk.
-  // The reservations sit in the page tables with loading=true, so a
-  // concurrent fetcher of one of these pages blocks on `loading` instead
-  // of issuing its own read — and, crucially, no writer can slip a newer
+  // The reservations sit in the page tables as LOADING, so a concurrent
+  // fetcher of one of these pages blocks on LOADING instead of issuing
+  // its own read — and, crucially, no writer can slip a newer
   // image into the pool between our disk read and the copy-out below
   // (modifying a page requires fetching it first). Resident pages are
   // skipped: the cached copy wins.
@@ -603,10 +709,9 @@ Status BufferManager::Prefetch(PageId first, uint32_t count) {
       Shard& sh = ShardOf(s.id);
       MutexLock l(sh.mu);
       Frame& f = frames_[s.frame];
-      sh.table.erase(s.id);
-      f.page_id = kInvalidPageId;
-      f.pin_count = 0;
-      f.loading = false;
+      sh.table.Erase(s.id);
+      f.page_id.store(kInvalidPageId, std::memory_order_relaxed);
+      f.state.store(kClaimed, std::memory_order_relaxed);
       sh.free_list.push_back(s.frame);
       NotifyAll(sh);
     }
@@ -616,7 +721,7 @@ Status BufferManager::Prefetch(PageId first, uint32_t count) {
     const PageId id = first + i;
     Shard& sh = ShardOf(id);
     sh.mu.Lock();
-    if (sh.table.count(id) != 0) {  // cached copy wins: skip
+    if (sh.table.Find(id) != PageTable::kNone) {  // cached copy wins
       sh.mu.Unlock();
       continue;
     }
@@ -644,15 +749,13 @@ Status BufferManager::Prefetch(PageId first, uint32_t count) {
   if (!rs.ok()) return undo(rs);
   auto& c = GlobalCounters::Get();
   for (const Slot& s : slots) {
-    // Frame is mapped, pinned once, loading=true: stable without the lock.
+    // Frame is mapped and LOADING: stable without the lock.
     std::memcpy(frames_[s.frame].data.get(),
                 stage.get() + static_cast<size_t>(s.off) * page_size_,
                 page_size_);
     Shard& sh = ShardOf(s.id);
     MutexLock l(sh.mu);
-    Frame& f = frames_[s.frame];
-    f.loading = false;
-    f.pin_count = 0;
+    frames_[s.frame].state.store(0, std::memory_order_release);
     c.pool_prefetched.fetch_add(1, std::memory_order_relaxed);
     NotifyAll(sh);
   }
@@ -663,20 +766,21 @@ void BufferManager::Discard(PageId id) {
   Shard& sh = ShardOf(id);
   MutexLock lk(sh.mu);
   for (;;) {
-    auto it = sh.table.find(id);
-    if (it == sh.table.end()) return;
-    Frame& f = frames_[it->second];
-    if (f.loading || f.pin_count != 0) {
-      // A reader (e.g. a scan repositioning itself) may hold a short pin on
-      // a page being freed; wait for it to drain.
+    const size_t idx = sh.table.Find(id);
+    if (idx == PageTable::kNone) return;
+    Frame& f = frames_[idx];
+    if (f.InFlux()) {
       WaitOn(sh);
       continue;
     }
+    // A reader (e.g. a scan repositioning itself) may hold a short pin on
+    // a page being freed; wait for it to drain.
+    if (WaitForPins(sh, f) || !Claim(f)) continue;
     f.dirty.store(false, std::memory_order_relaxed);
     f.latch.Invalidate();
-    f.page_id = kInvalidPageId;
-    sh.free_list.push_back(it->second);
-    sh.table.erase(it);
+    f.page_id.store(kInvalidPageId, std::memory_order_relaxed);
+    sh.table.Erase(id);
+    sh.free_list.push_back(idx);
     return;
   }
 }
@@ -687,15 +791,19 @@ void BufferManager::DropAll() {
   CancelWriteBack();
   for (Shard& sh : shards_) {
     MutexLock l(sh.mu);
-    for (auto& [id, frame] : sh.table) {
-      Frame& f = frames_[frame];
-      OIR_CHECK(f.pin_count == 0 && !f.loading);
+    for (size_t i = sh.start; i < sh.start + sh.count; ++i) {
+      Frame& f = frames_[i];
+      if (f.page_id.load(std::memory_order_relaxed) == kInvalidPageId) {
+        continue;  // already free
+      }
+      const bool claimed = Claim(f);
+      OIR_CHECK(claimed);  // every page must be unpinned
       f.dirty.store(false, std::memory_order_relaxed);
       f.latch.Invalidate();
-      f.page_id = kInvalidPageId;
-      sh.free_list.push_back(frame);
+      f.page_id.store(kInvalidPageId, std::memory_order_relaxed);
+      sh.free_list.push_back(i);
     }
-    sh.table.clear();
+    sh.table.Clear();
   }
 }
 
@@ -706,6 +814,16 @@ size_t BufferManager::CachedPages() const {
     total += sh.table.size();
   }
   return total;
+}
+
+size_t BufferManager::PinnedFrames() const {
+  size_t pinned = 0;
+  for (size_t i = 0; i < pool_frames_; ++i) {
+    if ((frames_[i].state.load(std::memory_order_acquire) & kPinMask) != 0) {
+      ++pinned;
+    }
+  }
+  return pinned;
 }
 
 }  // namespace oir

@@ -11,11 +11,24 @@
 // version proves a frame still holds the bytes a reader copied.
 //
 // The pool is partitioned into N shards (power of two, pages hashed on
-// PageId): each shard owns a slice of the frames and has its own mutex,
-// page table, free list and clock hand, so concurrent Fetch/Create/Unpin/
-// Discard calls on different pages do not serialize behind one global
-// mutex. Whole-pool operations (FlushAll, DropAll, CachedPages) iterate
-// the shards.
+// PageId): each shard owns a fixed slice of the frames and has its own
+// mutex, page table, free list and clock hand. Whole-pool operations
+// (FlushAll, DropAll, CachedPages) iterate the shards.
+//
+// Hits take no mutex. Each frame has one atomic state word: a pin count
+// plus the LOADING bit (a read into the frame is in flight), the CLAIMED
+// bit (the frame is free, or being evicted, reused or dropped) and the
+// WAITER bit (someone waits for the pins to drain). A shard's page table
+// is a flat open-addressed array of atomic (page, frame) words that only
+// the shard mutex holder changes and that Fetch probes without it. Fetch's
+// hit path probes the table, CAS-increments the pin unless LOADING or
+// CLAIMED is set, and re-checks the frame's page id; on a miss, a set bit
+// or a mismatch it drops the pin and takes the locked path. Release is one
+// atomic decrement; it takes the shard mutex only to wake a WAITER.
+// Everything that remaps a frame (eviction, Discard, Create's reuse of a
+// stale frame, DropAll) first claims it by CAS from "no pins, no bits" to
+// CLAIMED under the shard mutex, so a pinned frame is never remapped and
+// an optimistic pin never lands on a claimed one.
 //
 // The paper's rebuild relies on three buffer-manager behaviours implemented
 // here:
@@ -32,7 +45,6 @@
 #include <deque>
 #include <memory>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -125,7 +137,7 @@ class BufferManager {
 
   uint32_t page_size() const { return page_size_; }
   Disk* disk() { return disk_; }
-  size_t pool_frames() const { return frames_.size(); }
+  size_t pool_frames() const { return pool_frames_; }
   size_t num_shards() const { return shards_.size(); }
 
   // Pins the page, reading it from disk if absent.
@@ -178,17 +190,29 @@ class BufferManager {
   // real crash races the same way; recovery handles it).
   void DropAll();
 
-  // Test hook: number of distinct pages currently cached.
+  // Test hooks: number of distinct pages currently cached, and of frames
+  // that hold a pin.
   size_t CachedPages() const;
+  size_t PinnedFrames() const;
 
  private:
   friend class PageRef;
 
+  // Frame::state: pin count in the low bits, plus three flags.
+  static constexpr uint32_t kPinMask = (1u << 29) - 1;
+  static constexpr uint32_t kWaiter = 1u << 29;   // wake on last unpin
+  static constexpr uint32_t kLoading = 1u << 30;  // read in flight
+  static constexpr uint32_t kClaimed = 1u << 31;  // free or being remapped
+
   struct Frame {
-    PageId page_id = kInvalidPageId;
-    uint32_t pin_count = 0;         // guarded by the shard mutex
-    std::atomic<bool> dirty{false}; // lock-free: set by MarkDirty
-    bool loading = false;           // I/O in progress; guarded by shard mutex
+    // Pins and flags (above). Pins are taken by CAS without the shard
+    // mutex; the flags change only under it. A free frame is CLAIMED.
+    std::atomic<uint32_t> state{kClaimed};
+    // Changes only while CLAIMED or LOADING, under the shard mutex; stable
+    // while pinned.
+    std::atomic<PageId> page_id{kInvalidPageId};
+    std::atomic<bool> dirty{false};  // lock-free: set by MarkDirty
+    std::atomic<bool> ref{false};    // clock reference bit, set by hits
     // A flusher holds a parked snapshot of this page (guarded by the shard
     // mutex; always held together with a pin). At most one flusher may be
     // between snapshot and disk write per page: the snapshot→write span
@@ -197,28 +221,65 @@ class BufferManager {
     // disk image — fatal after a checkpoint has bounded the redo scan on
     // the newer image being durable.
     bool flushing = false;
-    bool ref = false;               // clock reference bit
     Latch latch;
     std::unique_ptr<char[]> data;
+
+    // LOADING or CLAIMED: neither pinnable nor claimable until it settles.
+    bool InFlux() const {
+      const uint32_t s = state.load(std::memory_order_relaxed);
+      return (s & (kLoading | kClaimed)) != 0;
+    }
+  };
+
+  // A shard's page -> frame map: open addressing with linear probing and
+  // backward-shift deletion, at most half full. Each slot is one atomic
+  // word (page << 32 | frame, 0 when empty), so a reader without the shard
+  // mutex sees a whole mapping or none. Insert, Erase and Clear run only
+  // under the shard mutex. A lock-free Find racing an Erase's shift may
+  // miss a present page; the hit path then takes the locked path, where
+  // Find is exact.
+  class PageTable {
+   public:
+    static constexpr size_t kNone = SIZE_MAX;
+
+    explicit PageTable(size_t frames);
+    size_t Find(PageId id) const;
+    void Insert(PageId id, size_t frame);  // id must be absent
+    void Erase(PageId id);                 // id must be present
+    void Clear();
+    size_t size() const { return size_; }
+
+   private:
+    size_t Home(PageId id) const {
+      // Fibonacci hashing on the high bits: independent of the low bits
+      // that picked the shard.
+      return static_cast<size_t>((id * 0x9E3779B97F4A7C15ull) >> shift_);
+    }
+
+    std::unique_ptr<std::atomic<uint64_t>[]> slots_;
+    size_t mask_ = 0;
+    int shift_ = 64;
+    size_t size_ = 0;
   };
 
   // One partition of the pool: owns frames [start, start+count) of frames_.
-  // start and count are fixed at construction; everything else is guarded
-  // by the shard mutex. The Frame fields themselves cannot carry
-  // OIR_GUARDED_BY: which shard guards a frame is a dynamic property of the
-  // page currently mapped into it (frames are reached through the shard's
-  // table), which the static analysis cannot name.
+  // start, count and the table's capacity are fixed at construction;
+  // everything else is guarded by the shard mutex (the table and the frame
+  // pins are also read without it, see above). The Frame fields cannot
+  // carry OIR_GUARDED_BY: which shard guards a frame is a property of the
+  // page mapped into it, which the static analysis cannot name.
   struct Shard {
+    explicit Shard(size_t frames) : count(frames), table(frames) {}
+
     mutable Mutex mu;
     CondVar cv;
     // Skip notify when zero.
     size_t cv_waiters OIR_GUARDED_BY(mu) = 0;
-    // id -> global frame index.
-    std::unordered_map<PageId, size_t> table OIR_GUARDED_BY(mu);
+    size_t start = 0;
+    const size_t count;
+    PageTable table;
     // Global frame indices.
     std::vector<size_t> free_list OIR_GUARDED_BY(mu);
-    size_t start = 0;
-    size_t count = 0;
     // Local offset within [start, start+count).
     size_t clock_hand OIR_GUARDED_BY(mu) = 0;
   };
@@ -241,19 +302,34 @@ class BufferManager {
     if (s.cv_waiters != 0) s.cv.NotifyAll();
   }
 
+  // Drops one pin; wakes the shard's waiters if a WAITER sees the last pin
+  // go. Must not be called with the shard mutex held.
   void Unpin(size_t frame, PageId id);
+
+  // Hit path: pins `frame` if it is neither LOADING nor CLAIMED and still
+  // holds `id`. Takes no mutex.
+  bool TryPin(size_t frame, PageId id);
+
+  // Claims an unpinned frame with no LOADING or CLAIMED bit (a stale
+  // WAITER bit is dropped). Shard mutex held; fails if a pin got there
+  // first.
+  static bool Claim(Frame& f);
+
+  // Sets WAITER and waits once on the shard CV if `f` is pinned. Returns
+  // whether it waited (the caller then re-probes).
+  static bool WaitForPins(Shard& s, Frame& f) OIR_REQUIRES(s.mu);
 
   // Finds a frame to (re)use in `shard`. Called with the shard mutex held;
   // may release and reacquire it around eviction I/O (it is held again on
-  // every return path). On success the frame is marked loading with
-  // pin_count 1 and mapped to `for_page`.
+  // every return path). On success the frame is mapped to `for_page` with
+  // state LOADING and one pin.
   Status AllocateFrameLocked(Shard& shard, PageId for_page, size_t* out_frame)
       OIR_REQUIRES(shard.mu);
 
   // Writes the frame's page to disk (WAL constraint honored). The frame's
   // latch is taken in S mode internally to get a consistent image. Must be
   // called without holding the shard mutex and with the frame protected
-  // from reuse (pinned or loading).
+  // from reuse (pinned or claimed).
   Status WriteBack(size_t frame);
 
   // ---- background write-back ----
@@ -281,7 +357,9 @@ class BufferManager {
   const uint32_t page_size_;
   LogFlusher* log_flusher_ = nullptr;
 
-  std::deque<Frame> frames_;
+  // One contiguous array: a frame is one index away, and never moves.
+  std::unique_ptr<Frame[]> frames_;
+  size_t pool_frames_ = 0;
   std::deque<Shard> shards_;
   uint32_t shard_mask_ = 0;  // num shards - 1 (power of two)
 

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <thread>
 
 #include "core/db.h"
@@ -14,6 +15,7 @@
 #include "testing/crash_point.h"
 #include "testing/oracle.h"
 #include "tests/test_util.h"
+#include "util/counters.h"
 #include "util/random.h"
 
 namespace oir {
@@ -360,6 +362,66 @@ TEST(ConcurrencyTest, OfflineRebuildBlocksWriters) {
   TreeStats stats;
   ASSERT_OK(db->tree()->Validate(&stats));
   EXPECT_EQ(stats.num_keys, base.size() + 1);
+  ExpectInvariants(db.get());
+}
+
+// Blocks until some thread has waited in the lock manager since
+// `waits_before` was read (at most 10 s); returns whether one did.
+bool AwaitLockWait(uint64_t waits_before) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (GlobalCounters::Get().lock_waits.load() == waits_before) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+// The rebuild X-locks a batch's pages before it latches them to set their
+// bits. A writer that finds such a leaf full must not wait for the leaf's
+// address lock while it holds the leaf's latch, or the rebuild's latch
+// request and the writer's lock request wait for each other.
+TEST(ConcurrencyTest, LeafSplitWaitsForAddressLockWithoutTheLatch) {
+  auto db = MakeDb();
+  const PageId leaf = db->tree()->root();  // an empty tree's one leaf
+  // Stands in for the rebuild between locking its batch and latching it.
+  auto rebuild = db->BeginTxn();
+  ASSERT_OK(db->lock_manager()->Lock(rebuild->id(), AddressLockKey(leaf),
+                                     LockMode::kX, /*conditional=*/false));
+
+  const uint64_t waits = GlobalCounters::Get().lock_waits.load();
+  constexpr uint64_t kKeys = 400;  // several leaves' worth
+  std::thread writer([&] {
+    for (uint64_t i = 0; i < kKeys; ++i) {
+      auto txn = db->BeginTxn();
+      Status s = db->index()->Insert(txn.get(), NumKey(i), i);
+      EXPECT_TRUE(s.ok()) << "insert " << i << ": " << s.ToString();
+      EXPECT_TRUE(db->Commit(txn.get()).ok());
+    }
+  });
+  // The writer fills the leaf, and its split waits for the address lock.
+  const bool writer_waited = AwaitLockWait(waits);
+  bool latched = false;
+  if (writer_waited) {
+    PageRef ref;
+    EXPECT_OK(db->buffer_manager()->Fetch(leaf, &ref));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (!(latched = ref.latch().TryLockX()) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (latched) ref.latch().UnlockX();
+  }
+  db->lock_manager()->Unlock(rebuild->id(), AddressLockKey(leaf));
+  writer.join();
+  ASSERT_OK(db->Commit(rebuild.get()));
+  EXPECT_TRUE(writer_waited);
+  EXPECT_TRUE(latched)
+      << "the writer waited for the address lock holding the leaf's latch";
+  std::set<uint64_t> all;
+  for (uint64_t i = 0; i < kKeys; ++i) all.insert(i);
+  test::ExpectTreeContains(db.get(), all);
   ExpectInvariants(db.get());
 }
 

@@ -1,4 +1,4 @@
-// Index facade tests: table lock interaction with the offline rebuild,
+// Index facade tests: the gate that the offline rebuild closes,
 // logical row locks from the isolation-level cursor, FileDisk-backed
 // databases, and page-size sweeps of the whole workload path.
 
@@ -7,11 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <mutex>
 #include <thread>
 
 #include "core/db.h"
+#include "testing/crash_point.h"
 #include "tests/test_util.h"
+#include "util/counters.h"
 
 namespace oir {
 namespace {
@@ -139,6 +144,122 @@ TEST(IndexTest, OfflineRebuildSurvivesCrash) {
   ASSERT_OK(db->CrashAndRecover(&stats));
   test::ExpectTreeContains(db.get(),
                            std::set<uint64_t>(ids.begin(), ids.end()));
+}
+
+// The gate: point operations issued while the offline rebuild runs wait
+// for its commit and then see the rebuilt tree. The rebuild is held at its
+// first page allocation, after it has collected the old tree's rows.
+TEST(IndexGateTest, PointOpsIssuedDuringOfflineRebuildWaitForItsCommit) {
+  auto db = MakeDb();
+  std::set<uint64_t> expect;
+  std::vector<uint64_t> ids;
+  for (uint64_t i = 0; i < 2000; ++i) ids.push_back(2 * i);
+  test::InsertMany(db.get(), ids);
+  expect.insert(ids.begin(), ids.end());
+  const PageId old_root = db->tree()->root();
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool paused = false;
+  bool resume = false;
+  auto& reg = fault::CrashPointRegistry::Get();
+  fault::CrashPointRegistry::SetEnabled(true);
+  reg.ResetCounts();
+  reg.Arm("space.alloc.logged", 0, [&] {
+    std::unique_lock<std::mutex> l(mu);
+    paused = true;
+    cv.notify_all();
+    cv.wait(l, [&] { return resume; });
+  });
+  Status rebuilt;
+  std::thread rebuild([&] {
+    RebuildResult res;
+    rebuilt = db->index()->RebuildOffline(&res);
+  });
+  {
+    std::unique_lock<std::mutex> l(mu);
+    cv.wait(l, [&] { return paused; });
+  }
+
+  std::atomic<bool> resumed{false};
+  std::atomic<bool> lookup_early{true};
+  std::atomic<bool> insert_early{true};
+  bool found = false;
+  PageId root_seen = kInvalidPageId;
+  std::thread reader([&] {
+    auto txn = db->BeginTxn();
+    EXPECT_OK(db->index()->Lookup(txn.get(), NumKey(10), 10, &found));
+    lookup_early.store(!resumed.load());
+    root_seen = db->tree()->root();
+    EXPECT_OK(db->Commit(txn.get()));
+  });
+  std::thread writer([&] {
+    auto txn = db->BeginTxn();
+    EXPECT_OK(db->index()->Insert(txn.get(), NumKey(999), 999));
+    insert_early.store(!resumed.load());
+    EXPECT_OK(db->Commit(txn.get()));
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  resumed.store(true);
+  {
+    std::lock_guard<std::mutex> l(mu);
+    resume = true;
+  }
+  cv.notify_all();
+  rebuild.join();
+  reader.join();
+  writer.join();
+  reg.Disarm();
+  fault::CrashPointRegistry::SetEnabled(false);
+
+  ASSERT_OK(rebuilt);
+  EXPECT_FALSE(lookup_early.load()) << "lookup passed a closed gate";
+  EXPECT_FALSE(insert_early.load()) << "insert passed a closed gate";
+  EXPECT_TRUE(found);
+  EXPECT_NE(root_seen, old_root);
+  expect.insert(999);
+  test::ExpectTreeContains(db.get(), expect);
+}
+
+// Point operations take their row locks before the gate, so the offline
+// rebuild never waits for an operation that waits on a row lock.
+TEST(IndexGateTest, OfflineRebuildDoesNotWaitForARowLockWaiter) {
+  auto db = MakeDb();
+  std::set<uint64_t> expect;
+  std::vector<uint64_t> ids;
+  for (uint64_t i = 0; i < 2000; ++i) ids.push_back(2 * i);
+  test::InsertMany(db.get(), ids);
+  expect.insert(ids.begin(), ids.end());
+
+  auto holder = db->BeginTxn();
+  ASSERT_OK(db->lock_manager()->Lock(holder->id(), LogicalLockKey(10),
+                                     LockMode::kX, /*conditional=*/false));
+  holder->TrackLock(LogicalLockKey(10));
+  const uint64_t waits = GlobalCounters::Get().lock_waits.load();
+  Status deleted;
+  std::thread deleter([&] {
+    auto txn = db->BeginTxn();
+    deleted = db->index()->Delete(txn.get(), NumKey(10), 10);
+    EXPECT_OK(db->Commit(txn.get()));
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (GlobalCounters::Get().lock_waits.load() == waits &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+
+  const auto start = std::chrono::steady_clock::now();
+  RebuildResult res;
+  Status rebuilt = db->index()->RebuildOffline(&res);
+  const auto took = std::chrono::steady_clock::now() - start;
+  EXPECT_OK(db->Commit(holder.get()));
+  deleter.join();
+  ASSERT_OK(rebuilt);
+  EXPECT_LT(took, std::chrono::seconds(2));
+  ASSERT_OK(deleted);
+  expect.erase(10);
+  test::ExpectTreeContains(db.get(), expect);
 }
 
 TEST(IndexTest, FileDiskBackedDatabase) {

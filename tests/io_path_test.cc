@@ -159,6 +159,105 @@ TEST(ShardedPoolTest, ConcurrentStress) {
   }
 }
 
+TEST(ShardedPoolTest, HitsRaceRemapsWithoutLosingTheirPage) {
+  // Readers pin hot pages through the mutex-free hit path while other
+  // threads remap frames under them: cold fetches force evictions, a
+  // churner discards pages and creates them over stale frames, and a
+  // prefetcher reserves runs. A pinned frame must always hold the page
+  // that was fetched, and no pin may outlive its PageRef.
+  constexpr PageId kHot = 1, kHotPages = 8;
+  constexpr PageId kChurn = kHot + kHotPages, kChurnPages = 32;
+  constexpr PageId kCold = kChurn + kChurnPages;
+  constexpr uint32_t kDiskPages = 256;
+  MemDisk disk(kPage, kDiskPages);
+  BufferManager bm(&disk, /*pool_frames=*/32, /*shards=*/2);
+  {
+    std::vector<char> buf(kPage, 0);
+    for (PageId p = 1; p < kDiskPages; ++p) {
+      HeaderOf(buf.data())->page_id = p;
+      ASSERT_OK(disk.WritePage(p, buf.data()));
+    }
+  }
+
+  const uint64_t seed = test::TestSeed(200);
+  OIR_SCOPED_SEED_TRACE(seed);
+  std::atomic<int> failures{0};
+  // Fetches `p` and checks the frame under an S latch. A page the churner
+  // just created is zero until the churner stamps it.
+  auto fetch_and_check = [&](PageId p) {
+    PageRef ref;
+    Status s = bm.Fetch(p, &ref);
+    if (!s.ok() || ref.id() != p) {
+      failures.fetch_add(1);
+      return;
+    }
+    ref.latch().LockS();
+    const PageId seen = ref.header()->page_id;
+    ref.latch().UnlockS();
+    if (seen != p && !(p >= kChurn && p < kCold && seen == kInvalidPageId)) {
+      failures.fetch_add(1);
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 3; ++t) {
+    threads.emplace_back([&, t] {
+      Random rnd(seed + t);
+      for (int i = 0; i < 20000; ++i) {
+        fetch_and_check(rnd.OneIn(3) ? kChurn + rnd.Uniform(kChurnPages)
+                                     : kHot + rnd.Uniform(kHotPages));
+      }
+    });
+  }
+  threads.emplace_back([&] {  // evictor
+    Random rnd(seed + 10);
+    for (int i = 0; i < 20000; ++i) {
+      fetch_and_check(kCold + rnd.Uniform(kDiskPages - kCold));
+    }
+  });
+  threads.emplace_back([&] {  // churner
+    Random rnd(seed + 11);
+    for (int i = 0; i < 10000; ++i) {
+      const PageId p = kChurn + rnd.Uniform(kChurnPages);
+      switch (rnd.Uniform(3)) {
+        case 0:
+          bm.Discard(p);
+          break;
+        case 1: {
+          PageRef ref;
+          if (!bm.Create(p, &ref).ok()) {
+            failures.fetch_add(1);
+            break;
+          }
+          ref.latch().LockX();
+          ref.header()->page_id = p;
+          ref.MarkDirty();
+          ref.latch().UnlockX();
+          break;
+        }
+        default:
+          fetch_and_check(p);
+      }
+    }
+  });
+  threads.emplace_back([&] {  // prefetcher
+    Random rnd(seed + 12);
+    for (int i = 0; i < 5000; ++i) {
+      if (!bm.Prefetch(kCold + rnd.Uniform(kDiskPages - kCold - 4), 4).ok()) {
+        failures.fetch_add(1);
+      }
+    }
+  });
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(bm.PinnedFrames(), 0u);
+  EXPECT_LE(bm.CachedPages(), bm.pool_frames());
+  for (PageId p = kHot; p < kCold; ++p) {
+    PageRef ref;
+    ASSERT_OK(bm.Fetch(p, &ref));
+    EXPECT_EQ(ref.header()->page_id, p);
+  }
+}
+
 TEST(PrefetchTest, LoadsRunAndServesFetches) {
   constexpr uint32_t kDiskPages = 64;
   MemDisk disk(kPage, kDiskPages);

@@ -680,8 +680,8 @@ TEST(RebuildThrottleTest, ThrottledSoakCompletesAndAttributesPauses) {
   std::atomic<uint64_t> fg_ops{0};
   // One long read transaction: a per-batch commit would park the thread in
   // the group-commit wait, leaving whole throttle sample intervals with no
-  // recorded foreground ops. Lookup's table lock is instant-duration, so
-  // nothing accumulates on the transaction.
+  // recorded foreground ops. Lookup takes no transaction-duration lock,
+  // so nothing accumulates on the transaction.
   std::thread fg([&] {
     Random rnd(seed);
     auto txn = db->BeginTxn();
