@@ -118,9 +118,6 @@ BufferManager::BufferManager(Disk* disk, size_t pool_frames, size_t shards)
   shard_mask_ = static_cast<uint32_t>(shards - 1);
   frames_.reset(new Frame[pool_frames]);
   pool_frames_ = pool_frames;
-  for (size_t i = 0; i < pool_frames; ++i) {
-    frames_[i].data.reset(new char[page_size_]);
-  }
   size_t next = 0;
   for (size_t s = 0; s < shards; ++s) {
     const size_t extra = s < pool_frames % shards ? 1 : 0;
@@ -197,6 +194,9 @@ Status BufferManager::AllocateFrameLocked(Shard& sh, PageId for_page,
       size_t idx = sh.free_list.back();
       sh.free_list.pop_back();
       Frame& f = frames_[idx];
+      // A frame gets its page memory when first claimed, so a pool larger
+      // than the index never holds the memory of frames it does not use.
+      if (f.data == nullptr) f.data.reset(new char[page_size_]);
       f.latch.Invalidate();
       f.page_id.store(for_page, std::memory_order_relaxed);
       f.dirty.store(false, std::memory_order_relaxed);

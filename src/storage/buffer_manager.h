@@ -10,6 +10,9 @@
 // frame or rewrites the frame's bytes without the X latch, so an unchanged
 // version proves a frame still holds the bytes a reader copied.
 //
+// Frames get their page memory on first use (AllocateFrameLocked), so a
+// pool sized beyond the working set costs only its frame descriptors.
+//
 // The pool is partitioned into N shards (power of two, pages hashed on
 // PageId): each shard owns a fixed slice of the frames and has its own
 // mutex, page table, free list and clock hand. Whole-pool operations
@@ -222,6 +225,9 @@ class BufferManager {
     // the newer image being durable.
     bool flushing = false;
     Latch latch;
+    // The page bytes: a block of its own, allocated by the first
+    // AllocateFrameLocked that takes the frame off the free list and kept
+    // for the pool's life. Null while the frame was never used.
     std::unique_ptr<char[]> data;
 
     // LOADING or CLAIMED: neither pinnable nor claimable until it settles.

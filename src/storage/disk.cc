@@ -12,16 +12,14 @@ namespace oir {
 // ---------------------------------------------------------------- MemDisk
 
 MemDisk::MemDisk(uint32_t page_size, uint32_t initial_pages)
-    : Disk(page_size), num_pages_(initial_pages) {
-  data_.resize(static_cast<size_t>(page_size) * initial_pages, 0);
-}
+    : Disk(page_size), num_pages_(initial_pages) {}
 
 Status MemDisk::ReadMulti(PageId first, uint32_t n, char* buf) {
   MutexLock l(mu_);
   if (first + n > num_pages_) {
     return Status::IOError("read beyond device end");
   }
-  std::memcpy(buf, data_.data() + static_cast<size_t>(first) * page_size_,
+  pages_.Read(static_cast<uint64_t>(first) * page_size_, buf,
               static_cast<size_t>(n) * page_size_);
   CountIo(n, /*write=*/false);
   return Status::OK();
@@ -32,8 +30,8 @@ Status MemDisk::WriteMulti(PageId first, uint32_t n, const char* buf) {
   if (first + n > num_pages_) {
     return Status::IOError("write beyond device end");
   }
-  std::memcpy(data_.data() + static_cast<size_t>(first) * page_size_, buf,
-              static_cast<size_t>(n) * page_size_);
+  pages_.Write(static_cast<uint64_t>(first) * page_size_, buf,
+               static_cast<size_t>(n) * page_size_);
   CountIo(n, /*write=*/true);
   return Status::OK();
 }
@@ -47,9 +45,7 @@ uint32_t MemDisk::NumPages() const {
 
 Status MemDisk::Extend(uint32_t new_num_pages) {
   MutexLock l(mu_);
-  if (new_num_pages <= num_pages_) return Status::OK();
-  data_.resize(static_cast<size_t>(new_num_pages) * page_size_, 0);
-  num_pages_ = new_num_pages;
+  if (new_num_pages > num_pages_) num_pages_ = new_num_pages;
   return Status::OK();
 }
 

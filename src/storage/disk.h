@@ -12,10 +12,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "sync/mutex.h"
-
+#include "util/chunk_store.h"
 #include "util/counters.h"
 #include "util/status.h"
 #include "util/types.h"
@@ -74,7 +73,11 @@ class Disk {
 
 // In-memory disk. Supports crash simulation: the buffer pool is discarded by
 // the caller while MemDisk retains only what was explicitly written — the
-// same durability contract as a real device.
+// same durability contract as a real device. Pages live in a ChunkStore
+// (util/chunk_store.h) addressed by byte offset: a 1 MiB chunk is allocated
+// on the first write into its range, pages never written read as zeros,
+// and Extend only raises the page count, so the headroom the space manager
+// reserves costs no memory until it is used.
 class MemDisk : public Disk {
  public:
   MemDisk(uint32_t page_size, uint32_t initial_pages);
@@ -87,7 +90,7 @@ class MemDisk : public Disk {
 
  private:
   mutable Mutex mu_;
-  std::vector<char> data_ OIR_GUARDED_BY(mu_);
+  ChunkStore pages_ OIR_GUARDED_BY(mu_);
   uint32_t num_pages_ OIR_GUARDED_BY(mu_);
 };
 

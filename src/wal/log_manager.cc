@@ -41,7 +41,8 @@ LogManager::LogManager(const WalOptions& wal)
       durable_lsn_(kHeaderSize),
       submitted_lsn_(kHeaderSize),
       durable_adv_seq_(1) {
-  buf_.assign("OIRLOG01\0\0\0\0\0\0\0\0", kHeaderSize);
+  bytes_.Write(0, "OIRLOG01\0\0\0\0\0\0\0\0", kHeaderSize);
+  tail_ = kHeaderSize;
 }
 
 LogManager::~LogManager() {
@@ -119,20 +120,30 @@ Status LogManager::Open(const std::string& path, bool truncate,
       return Status::Corruption("bad log file magic");
     }
     Lsn trim = DecodeFixed64(header.data() + 8);
-    std::string body(size - 24, '\0');
-    ssize_t r = ::pread(fd, body.data(), body.size(), 24);
-    if (r < 0 || static_cast<size_t>(r) != body.size()) {
-      return Status::IOError("log body read failed");
-    }
     // Open is single-threaded (no sealer yet), but the guarded fields are
     // still touched under mu_ in bounded scopes: ReadRecord below takes the
     // (non-recursive) mutex itself.
     const Lsn trim_base = trim <= kHeaderSize ? 0 : trim;
     {
       MutexLock l(log->mu_);
-      // For an untrimmed log the body includes the in-memory header padding.
-      log->buf_ = std::move(body);
+      // For an untrimmed log the body includes the in-memory header
+      // padding. The body is loaded one chunk's worth at a time.
+      log->bytes_.DropBelow(trim_base);
+      const uint64_t body = static_cast<uint64_t>(size) - kFileHeaderSize;
+      std::unique_ptr<char[]> piece(new char[ChunkStore::kChunkBytes]);
+      for (uint64_t done = 0; done < body;) {
+        const size_t n = static_cast<size_t>(
+            std::min<uint64_t>(body - done, ChunkStore::kChunkBytes));
+        ssize_t r = ::pread(fd, piece.get(), n,
+                            static_cast<off_t>(kFileHeaderSize + done));
+        if (r < 0 || static_cast<size_t>(r) != n) {
+          return Status::IOError("log body read failed");
+        }
+        log->bytes_.Write(trim_base + done, piece.get(), n);
+        done += n;
+      }
       log->trim_base_ = trim_base;
+      log->tail_ = trim_base + body;
       log->file_header_ = header;
     }
     // A crash mid-write can leave a torn record at the tail; truncate the
@@ -153,7 +164,8 @@ Status LogManager::Open(const std::string& path, bool truncate,
     }
     {
       MutexLock l(log->mu_);
-      log->buf_.resize(valid_end - trim_base);
+      log->tail_ = valid_end;
+      log->bytes_.Truncate(valid_end);
       log->durable_lsn_ = valid_end;
       log->submitted_lsn_ = valid_end;
       // Drop the torn bytes from the file too: a later partial overwrite
@@ -253,10 +265,11 @@ Lsn LogManager::AppendEncoded(LogRecord* rec, const std::string& payload) {
   std::optional<ScopedCommitPriorityBoost> boost;
   if (writer_ != nullptr) boost.emplace();
   MutexLock l(mu_);
-  const Lsn lsn = trim_base_ + buf_.size();
+  const Lsn lsn = tail_;
   rec->lsn = lsn;
-  buf_.append(frame, sizeof(frame));
-  buf_.append(payload);
+  bytes_.Write(lsn, frame, sizeof(frame));
+  bytes_.Write(lsn + sizeof(frame), payload.data(), payload.size());
+  tail_ = lsn + sizeof(frame) + payload.size();
   return lsn;
 }
 
@@ -324,7 +337,7 @@ Status LogManager::FlushToLocked(Lsn lsn) {
     // Synchronous in-memory path: durability is simulated, so the boundary
     // moves inline on the calling thread.
     OIR_CRASH_POINT("wal.flush.sync");
-    durable_lsn_ = trim_base_ + buf_.size();
+    durable_lsn_ = tail_;
     ++durable_adv_seq_;
     if (master_ckpt_ != kInvalidLsn && master_ckpt_ < durable_lsn_) {
       durable_master_ckpt_ = master_ckpt_;
@@ -343,7 +356,7 @@ Status LogManager::FlushToLocked(Lsn lsn) {
       return Status::IOError("fault injection: log flush failed");
     }
     OIR_CRASH_POINT("wal.flush.group_wait");
-    const Lsn target = trim_base_ + buf_.size();
+    const Lsn target = tail_;
     if (requested_lsn_ < target) {
       // Wake the sealer only on an idle→demand transition: while demand
       // is already pending the sealer is either working or deliberately
@@ -385,10 +398,9 @@ Status LogManager::FlushAll() {
   std::optional<ScopedCommitPriorityBoost> boost;
   if (writer_ != nullptr) boost.emplace();
   MutexLock lk(mu_);
-  const Lsn tail = trim_base_ + buf_.size();
-  if (tail <= kHeaderSize) return Status::OK();
+  if (tail_ <= kHeaderSize) return Status::OK();
   // The record at tail-1 durable <=> durable_lsn_ >= tail.
-  return FlushToLocked(tail - 1);
+  return FlushToLocked(tail_ - 1);
 }
 
 void LogManager::BuildSegmentLocked(Lsn begin, Lsn end, uint64_t* offset,
@@ -397,15 +409,16 @@ void LogManager::BuildSegmentLocked(Lsn begin, Lsn end, uint64_t* offset,
   const uint64_t raw_e = FileOffsetLocked(end);
   if (!writer_ || writer_->sync_mode() != WalSyncMode::kODirect) {
     *offset = raw_b;
-    data->assign(buf_.data() + (begin - trim_base_), end - begin);
+    data->resize(end - begin);
+    bytes_.Read(begin, data->data(), end - begin);
     return;
   }
   // O_DIRECT: sector-align the range. Leading bytes are re-materialized
-  // from the file image (24-byte header mirror, then the buffer — file
-  // offset f holds buf_[f - 24 + trim_base_... i.e. buf_[f - 24] relative
-  // to the retained window]); the tail is zero-padded. A zero frame never
-  // parses (Unmask(0) != crc32c of an empty payload), so padding can never
-  // extend the valid prefix past the logical tail.
+  // from the file image (24-byte header mirror, then the log — file offset
+  // f >= 24 holds the byte at LSN trim_base_ + f - 24); the tail is
+  // zero-padded. A zero frame never parses (Unmask(0) != crc32c of an
+  // empty payload), so padding can never extend the valid prefix past the
+  // logical tail.
   const uint64_t a = raw_b / kWalSectorSize * kWalSectorSize;
   const uint64_t b =
       (raw_e + kWalSectorSize - 1) / kWalSectorSize * kWalSectorSize;
@@ -417,9 +430,8 @@ void LogManager::BuildSegmentLocked(Lsn begin, Lsn end, uint64_t* offset,
   }
   const uint64_t body_begin = std::max<uint64_t>(a, kFileHeaderSize);
   if (body_begin < raw_e) {
-    std::memcpy(data->data() + (body_begin - a),
-                buf_.data() + (body_begin - kFileHeaderSize),
-                raw_e - body_begin);
+    bytes_.Read(trim_base_ + (body_begin - kFileHeaderSize),
+                data->data() + (body_begin - a), raw_e - body_begin);
   }
 }
 
@@ -509,7 +521,7 @@ void LogManager::PipelineLoop() {
       flush_cv_.Wait(mu_);  // wait-state: sealer parked while quiescing
       continue;
     }
-    const Lsn tail = trim_base_ + buf_.size();
+    const Lsn tail = tail_;
     const bool demand = requested_lsn_ > submitted_lsn_;
     const bool size_due =
         writer_ != nullptr && tail - submitted_lsn_ >= wal_opts_.segment_bytes;
@@ -523,8 +535,7 @@ void LogManager::PipelineLoop() {
         // wait-state: sealer batching window, not an operation wait
         flush_cv_.WaitFor(mu_, std::chrono::milliseconds(5));
         if (stop_sealer_ || quiescing_) continue;
-        if (requested_lsn_ > submitted_lsn_ ||
-            trim_base_ + buf_.size() != tail) {
+        if (requested_lsn_ > submitted_lsn_ || tail_ != tail) {
           continue;  // demand or growth arrived; re-evaluate from the top
         }
         // Timed out with a stable idle tail: fall through and seal it.
@@ -545,8 +556,7 @@ void LogManager::PipelineLoop() {
       const auto deadline = std::chrono::steady_clock::now() + kGroupWindow;
       while (!stop_sealer_ && !quiescing_ &&
              !fail_flushes_.load(std::memory_order_relaxed) &&
-             trim_base_ + buf_.size() - submitted_lsn_ <
-                 wal_opts_.segment_bytes) {
+             tail_ - submitted_lsn_ < wal_opts_.segment_bytes) {
         // wait-state: sealer micro-batch window, not an operation wait
         if (flush_cv_.WaitUntil(mu_, deadline) == std::cv_status::timeout) {
           break;
@@ -571,8 +581,7 @@ void LogManager::PipelineLoop() {
       continue;
     }
     const Lsn begin = submitted_lsn_;
-    const Lsn end = std::min(trim_base_ + buf_.size(),
-                             begin + wal_opts_.segment_bytes);
+    const Lsn end = std::min<Lsn>(tail_, begin + wal_opts_.segment_bytes);
     if (end <= begin) continue;
     if (writer_ != nullptr &&
         writer_->sync_mode() == WalSyncMode::kODirect && !inflight_.empty()) {
@@ -672,23 +681,27 @@ void LogManager::DiscardPrefix(Lsn lsn) {
   {
     MutexLock l(mu_);
     if (lsn > trim_base_ + kHeaderSize) {
-      Lsn limit = trim_base_ + buf_.size();
-      if (lsn > limit) lsn = limit;
-      const size_t drop = lsn - trim_base_;
-      buf_.erase(0, drop);
+      if (lsn > tail_) lsn = tail_;
+      bytes_.DropBelow(lsn);
       trim_base_ = lsn;
       if (fd_ >= 0) {
         // Rewrite the file: new header with the trim base, then the
-        // retained bytes. Log truncation is rare (checkpoint-driven), so a
-        // full rewrite is acceptable.
+        // retained bytes, one chunk at a time. Log truncation is rare
+        // (checkpoint-driven), so a full rewrite is acceptable.
         std::string header("OIRLOGF1", 8);
         PutFixed64(&header, trim_base_);
         PutFixed64(&header, 0);
         OIR_CHECK(::pwrite(fd_, header.data(), header.size(), 0) ==
                   static_cast<ssize_t>(header.size()));
-        OIR_CHECK(::pwrite(fd_, buf_.data(), buf_.size(), 24) ==
-                  static_cast<ssize_t>(buf_.size()));
-        OIR_CHECK(::ftruncate(fd_, 24 + buf_.size()) == 0);
+        off_t off = kFileHeaderSize;
+        bytes_.ForEachPiece(trim_base_, tail_ - trim_base_,
+                            [this, &off](const char* p, size_t n) {
+                              OIR_CHECK(p != nullptr);
+                              OIR_CHECK(::pwrite(fd_, p, n, off) ==
+                                        static_cast<ssize_t>(n));
+                              off += static_cast<off_t>(n);
+                            });
+        OIR_CHECK(::ftruncate(fd_, off) == 0);
         OIR_CHECK(::fdatasync(fd_) == 0);
         file_header_ = header;
       }
@@ -711,22 +724,29 @@ Lsn LogManager::durable_lsn() const {
 
 Lsn LogManager::tail_lsn() const {
   MutexLock l(mu_);
-  return trim_base_ + buf_.size();
+  return tail_;
 }
 
 Status LogManager::ReadRecord(Lsn lsn, LogRecord* rec, Lsn* next_lsn) const {
   MutexLock l(mu_);
-  if (lsn < kHeaderSize || lsn < trim_base_ ||
-      lsn - trim_base_ + 8 > buf_.size()) {
+  if (lsn < kHeaderSize || lsn < trim_base_ || lsn + 8 > tail_) {
     return Status::InvalidArgument("lsn out of range");
   }
-  const size_t off = lsn - trim_base_;
-  uint32_t len = DecodeFixed32(buf_.data() + off);
-  uint32_t stored_crc = crc32c::Unmask(DecodeFixed32(buf_.data() + off + 4));
-  if (off + 8 + len > buf_.size()) {
+  char frame[8];
+  bytes_.Read(lsn, frame, sizeof(frame));
+  uint32_t len = DecodeFixed32(frame);
+  uint32_t stored_crc = crc32c::Unmask(DecodeFixed32(frame + 4));
+  if (lsn + 8 + len > tail_) {
     return Status::Corruption("truncated log record");
   }
-  const char* payload = buf_.data() + off + 8;
+  // A payload that straddles two chunks is decoded from a scratch copy.
+  std::string scratch;
+  const char* payload = bytes_.Contiguous(lsn + 8, len);
+  if (payload == nullptr) {
+    scratch.resize(len);
+    bytes_.Read(lsn + 8, scratch.data(), len);
+    payload = scratch.data();
+  }
   if (crc32c::Value(payload, len) != stored_crc) {
     return Status::Corruption("log record crc mismatch");
   }
@@ -772,7 +792,8 @@ void LogManager::SimulateCrash() {
   {
     MutexLock l(mu_);
     if (durable_lsn_ > trim_base_) {
-      buf_.resize(durable_lsn_ - trim_base_);
+      tail_ = durable_lsn_;
+      bytes_.Truncate(tail_);
     }
     // No in-flight flush can complete past the crash point.
     if (requested_lsn_ > durable_lsn_) requested_lsn_ = durable_lsn_;
@@ -793,7 +814,7 @@ void LogManager::SimulateCrash() {
 
 uint64_t LogManager::TotalBytesAppended() const {
   MutexLock l(mu_);
-  return trim_base_ + buf_.size() - kHeaderSize;
+  return tail_ - kHeaderSize;
 }
 
 }  // namespace oir

@@ -7,6 +7,12 @@
 // discards everything beyond it — modeling the durability contract of a
 // real log device for crash-recovery testing without an actual reboot.
 //
+// The in-memory copy lives in a ChunkStore (util/chunk_store.h) addressed
+// by LSN: 1 MiB chunks that never move. An append copies into the tail
+// chunk and spills into a fresh one, so a growing log is never copied;
+// DiscardPrefix frees the whole chunks below the trim point. A record that
+// straddles two chunks is read through a scratch copy.
+//
 // Record framing: [len:4][masked crc32c:4][payload]. A failed CRC or a
 // truncated frame marks the end of the recoverable log (torn tail).
 //
@@ -34,6 +40,7 @@
 #include "storage/async_io.h"
 #include "storage/buffer_manager.h"  // for LogFlusher
 #include "sync/mutex.h"
+#include "util/chunk_store.h"
 #include "util/histogram.h"
 #include "util/status.h"
 #include "util/types.h"
@@ -263,10 +270,12 @@ class LogManager : public LogFlusher {
   // Started by EnableGroupCommit, joined (unlocked) by the destructor
   // after stop_sealer_ is set — never touched concurrently, so unguarded.
   std::thread sealer_;
-  // Log bytes from trim_lsn_ on, preceded by header padding; buf_[i] holds
-  // the byte at LSN trim_base_ + i.
-  std::string buf_ OIR_GUARDED_BY(mu_);
-  Lsn trim_base_ OIR_GUARDED_BY(mu_) = 0;  // LSN of buf_[0]
+  // The retained log, addressed by LSN: bytes [trim_base_, tail_), where
+  // an untrimmed log starts with its header padding at LSN 0. Chunks below
+  // the trim point are freed; appends never move earlier bytes.
+  ChunkStore bytes_ OIR_GUARDED_BY(mu_);
+  Lsn trim_base_ OIR_GUARDED_BY(mu_) = 0;  // first retained LSN
+  Lsn tail_ OIR_GUARDED_BY(mu_) = 0;       // one past the last record
   // Exclusive: bytes [0, durable_lsn_) are durable.
   Lsn durable_lsn_ OIR_GUARDED_BY(mu_);
   Lsn master_ckpt_ OIR_GUARDED_BY(mu_) = kInvalidLsn;

@@ -13,6 +13,7 @@
 #include "storage/slotted_page.h"
 #include "sync/latch.h"
 #include "tests/test_util.h"
+#include "util/chunk_store.h"
 #include "util/counters.h"
 #include "wal/log_manager.h"
 
@@ -45,6 +46,51 @@ TEST(MemDiskTest, MultiPageTransferCountsOneIo) {
   auto delta = GlobalCounters::Get().Snapshot() - before;
   EXPECT_EQ(delta.io_ops, 1u);
   EXPECT_EQ(delta.pages_written, 8u);
+}
+
+TEST(MemDiskTest, MultiPageTransferAcrossChunkBoundary) {
+  // 3000-byte pages: page boundaries and 1 MiB chunk boundaries disagree.
+  constexpr uint32_t kPage = 3000;
+  MemDisk disk(kPage, 2000);
+  const PageId first = ChunkStore::kChunkBytes / kPage - 3;
+  std::string data(kPage * 8, '\0');
+  for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<char>(i * 31);
+  ASSERT_OK(disk.WriteMulti(first, 8, data.data()));
+  std::string got(kPage * 10, 'x');
+  ASSERT_OK(disk.ReadMulti(first - 1, 10, got.data()));
+  EXPECT_EQ(got.substr(0, kPage), std::string(kPage, '\0'));
+  EXPECT_EQ(got.substr(kPage, data.size()), data);
+  EXPECT_EQ(got.substr(kPage * 9), std::string(kPage, '\0'));
+}
+
+TEST(MemDiskTest, NeverWrittenPagesReadAsZeros) {
+  MemDisk disk(2048, 4096);
+  std::string page(2048, 'w');
+  ASSERT_OK(disk.WritePage(3000, page.data()));
+  std::string got(2048 * 3, 'x');
+  ASSERT_OK(disk.ReadMulti(2999, 3, got.data()));
+  EXPECT_EQ(got.substr(0, 2048), std::string(2048, '\0'));
+  EXPECT_EQ(got.substr(2048, 2048), page);
+  EXPECT_EQ(got.substr(4096), std::string(2048, '\0'));
+  ASSERT_OK(disk.ReadPage(0, got.data()));
+  EXPECT_EQ(got.substr(0, 2048), std::string(2048, '\0'));
+}
+
+TEST(MemDiskTest, ExtendKeepsContents) {
+  MemDisk disk(2048, 600);
+  std::string a(2048 * 2, 'a');
+  ASSERT_OK(disk.WriteMulti(511, 2, a.data()));
+  ASSERT_OK(disk.Extend(5000));
+  EXPECT_EQ(disk.NumPages(), 5000u);
+  std::string b(2048, 'b');
+  ASSERT_OK(disk.WritePage(4999, b.data()));
+  std::string got(2048 * 2, 'x');
+  ASSERT_OK(disk.ReadMulti(511, 2, got.data()));
+  EXPECT_EQ(got, a);
+  ASSERT_OK(disk.ReadPage(4999, got.data()));
+  EXPECT_EQ(got.substr(0, 2048), b);
+  ASSERT_OK(disk.ReadPage(4000, got.data()));
+  EXPECT_EQ(got.substr(0, 2048), std::string(2048, '\0'));
 }
 
 TEST(FileDiskTest, PersistsAcrossReopen) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "tests/test_util.h"
+#include "util/chunk_store.h"
 #include "wal/log_record.h"
 
 namespace oir {
@@ -318,6 +319,155 @@ TEST(LogManagerTest, ConcurrentAppendsAllReadable) {
   }
   EXPECT_EQ(count, kThreads * kPer);
   EXPECT_EQ(begins, kThreads);
+}
+
+
+// Appends a system record whose frame ends exactly at `end` (the tail must
+// leave room for at least one empty record before it).
+void FillTo(LogManager* log, Lsn end) {
+  LogRecord probe;
+  probe.type = LogType::kInsert;
+  std::string enc;
+  probe.EncodeTo(&enc);
+  const Lsn empty = 8 + enc.size();
+  const Lsn tail = log->tail_lsn();
+  ASSERT_GE(end, tail + empty);
+  LogRecord fill;
+  fill.type = LogType::kInsert;
+  // The row's length prefix grows with the row: shrink it to fit.
+  for (size_t len = end - tail - empty;;) {
+    fill.row.assign(len, 'f');
+    enc.clear();
+    fill.EncodeTo(&enc);
+    if (tail + 8 + enc.size() == end) break;
+    len -= tail + 8 + enc.size() - end;
+  }
+  log->AppendSystem(&fill);
+  ASSERT_EQ(log->tail_lsn(), end);
+}
+
+// Appends rows of varying length until the log passes `end`; returns each
+// record's LSN and row.
+std::vector<std::pair<Lsn, std::string>> AppendRowsPast(LogManager* log,
+                                                        Lsn end) {
+  std::vector<std::pair<Lsn, std::string>> out;
+  for (uint32_t i = 0; log->tail_lsn() < end; ++i) {
+    LogRecord rec;
+    rec.type = LogType::kInsert;
+    rec.page_id = i;
+    rec.row.assign(1 + (i * 7919) % 3001, static_cast<char>('a' + i % 26));
+    out.emplace_back(log->AppendSystem(&rec), rec.row);
+  }
+  return out;
+}
+
+constexpr Lsn kChunk = ChunkStore::kChunkBytes;
+
+TEST(LogChunkTest, RecordsStraddlingChunkBoundariesReadBack) {
+  LogManager log;
+  // A frame header split across the first boundary, a payload split
+  // across the others.
+  FillTo(&log, kChunk - 3);
+  auto rows = AppendRowsPast(&log, 3 * kChunk + 100);
+  for (Lsn b : {kChunk, 2 * kChunk, 3 * kChunk}) {
+    bool straddled = false;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const Lsn end =
+          i + 1 < rows.size() ? rows[i + 1].first : log.tail_lsn();
+      straddled |= rows[i].first < b && b < end;
+    }
+    EXPECT_TRUE(straddled) << "boundary " << b;
+  }
+  for (const auto& [lsn, row] : rows) {
+    LogRecord rec;
+    ASSERT_OK(log.ReadRecord(lsn, &rec));
+    EXPECT_EQ(rec.row, row);
+  }
+  size_t i = 0;
+  for (auto it = log.Scan(rows.front().first); it.Valid(); it.Next(), ++i) {
+    ASSERT_LT(i, rows.size());
+    EXPECT_EQ(it.lsn(), rows[i].first);
+    EXPECT_EQ(it.record().row, rows[i].second);
+  }
+  EXPECT_EQ(i, rows.size());
+}
+
+TEST(LogChunkTest, DiscardPrefixAroundAChunkBoundary) {
+  for (int64_t delta : {-1, 0, 1}) {
+    SCOPED_TRACE(delta);
+    LogManager log;
+    AppendRowsPast(&log, kChunk / 2);
+    const Lsn cut = kChunk + delta;
+    FillTo(&log, cut);
+    auto rows = AppendRowsPast(&log, 2 * kChunk + 10);
+    ASSERT_EQ(rows.front().first, cut);
+    log.DiscardPrefix(cut);
+    EXPECT_EQ(log.head_lsn(), cut);
+    LogRecord rec;
+    EXPECT_FALSE(log.ReadRecord(kChunk / 4, &rec).ok());
+    auto more = AppendRowsPast(&log, 3 * kChunk);
+    rows.insert(rows.end(), more.begin(), more.end());
+    size_t i = 0;
+    for (auto it = log.Scan(log.head_lsn()); it.Valid(); it.Next(), ++i) {
+      ASSERT_LT(i, rows.size());
+      EXPECT_EQ(it.lsn(), rows[i].first);
+      EXPECT_EQ(it.record().row, rows[i].second);
+    }
+    EXPECT_EQ(i, rows.size());
+  }
+}
+
+TEST(LogChunkTest, SimulateCrashWithDurableLsnInsideAChunk) {
+  LogManager log;
+  auto kept = AppendRowsPast(&log, kChunk + kChunk / 3);
+  ASSERT_OK(log.FlushAll());
+  const Lsn durable = log.durable_lsn();
+  AppendRowsPast(&log, 3 * kChunk);
+  log.SimulateCrash();
+  EXPECT_EQ(log.tail_lsn(), durable);
+  // Appends after the crash overwrite the cut bytes.
+  auto after = AppendRowsPast(&log, 2 * kChunk);
+  kept.insert(kept.end(), after.begin(), after.end());
+  size_t i = 0;
+  for (auto it = log.Scan(log.head_lsn()); it.Valid(); it.Next(), ++i) {
+    ASSERT_LT(i, kept.size());
+    EXPECT_EQ(it.lsn(), kept[i].first);
+    EXPECT_EQ(it.record().row, kept[i].second);
+  }
+  EXPECT_EQ(i, kept.size());
+}
+
+TEST(LogChunkTest, ReopenFileLogSpanningSeveralChunks) {
+  const std::string path = ::testing::TempDir() + "/oir_wal_chunks.log";
+  std::vector<std::pair<Lsn, std::string>> rows;
+  Lsn cut = 0;
+  {
+    std::unique_ptr<LogManager> log;
+    ASSERT_OK(LogManager::Open(path, /*truncate=*/true, &log));
+    AppendRowsPast(log.get(), kChunk / 2);
+    cut = kChunk + 1;
+    FillTo(log.get(), cut);
+    rows = AppendRowsPast(log.get(), 3 * kChunk + 50);
+    ASSERT_OK(log->FlushAll());
+  }
+  for (bool trim : {false, true}) {
+    SCOPED_TRACE(trim);
+    std::unique_ptr<LogManager> log;
+    ASSERT_OK(LogManager::Open(path, /*truncate=*/false, &log));
+    if (trim) log->DiscardPrefix(cut);
+    size_t i = 0;
+    for (auto it = log->Scan(cut); it.Valid(); it.Next(), ++i) {
+      ASSERT_LT(i, rows.size());
+      EXPECT_EQ(it.lsn(), rows[i].first);
+      EXPECT_EQ(it.record().row, rows[i].second);
+    }
+    EXPECT_EQ(i, rows.size());
+  }
+  // The trimmed file reopens with its trim point.
+  std::unique_ptr<LogManager> log;
+  ASSERT_OK(LogManager::Open(path, /*truncate=*/false, &log));
+  EXPECT_EQ(log->head_lsn(), cut);
+  EXPECT_EQ(log->Scan(log->head_lsn()).lsn(), rows.front().first);
 }
 
 }  // namespace
